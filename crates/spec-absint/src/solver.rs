@@ -349,8 +349,7 @@ mod tests {
     fn seeded_solve_never_rejoins_frozen_nodes() {
         // 0 -> 1 -> 0 cycle: node 1 frozen; popping 0 must skip the
         // transfer into 1 entirely, leaving the seed untouched.
-        let seeds: Vec<Option<BTreeSet<usize>>> =
-            vec![None, Some([7].into_iter().collect())];
+        let seeds: Vec<Option<BTreeSet<usize>>> = vec![None, Some([7].into_iter().collect())];
         let mut problem = Reach {
             edges: vec![vec![1], vec![0]],
         };

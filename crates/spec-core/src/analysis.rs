@@ -20,7 +20,7 @@ use spec_vcfg::Vcfg;
 use crate::classify::{classify_accesses, AnalysisResult};
 use crate::engine::SpecProblem;
 use crate::options::AnalysisOptions;
-use crate::session::{Analyzer, RoundCache, RoundResult};
+use crate::session::{Analyzer, Memo, Round, RoundKey};
 use crate::state::SpecState;
 use crate::summary::SummaryCtx;
 
@@ -100,7 +100,7 @@ pub(crate) fn solve_prepared(
     vcfg: &Vcfg,
     amap: &Arc<AddressMap>,
     widen_nodes: &HashSet<usize>,
-    round_cache: &RoundCache,
+    round_cache: &Memo<RoundKey, Round>,
     summary: SummaryCtx<'_>,
     start: Instant,
 ) -> AnalysisResult {
@@ -134,11 +134,11 @@ pub(crate) fn solve_prepared(
         options: &AnalysisOptions,
         widen_nodes: &HashSet<usize>,
         bounds: Vec<u32>,
-        round_cache: &RoundCache,
+        round_cache: &Memo<RoundKey, Round>,
         summary: &SummaryCtx<'_>,
         total: &mut SolveStats,
         rounds: &mut u32,
-    ) -> (SpecProblem<'a>, Arc<RoundResult>) {
+    ) -> (SpecProblem<'a>, Arc<Round>) {
         let effective = options.effective_speculation();
         let key = (
             options.cache,
@@ -161,7 +161,7 @@ pub(crate) fn solve_prepared(
             .seed
             .as_ref()
             .and_then(|(_, summaries)| summaries.donor_round(&key));
-        let round = round_cache.get_or_compute(key, || {
+        let round = round_cache.get_or_insert_with(key, || {
             let blocks = analyzed.blocks().len() as u64;
             if let (Some((plan, _)), Some(donor)) = (&summary.seed, &donor_round) {
                 let seeds: Vec<Option<SpecState>> = plan
@@ -169,20 +169,26 @@ pub(crate) fn solve_prepared(
                     .iter()
                     .enumerate()
                     .map(|(node, &frozen)| {
-                        frozen.then(|| donor.0[plan.donor_node[node] as usize].clone())
+                        frozen.then(|| donor.states[plan.donor_node[node] as usize].clone())
                     })
                     .collect();
                 let (states, stats) = solver.solve_seeded(&mut problem, seeds);
                 summary
                     .store
                     .record_round(plan.frozen_blocks, blocks - plan.frozen_blocks);
-                return (Arc::new(states), stats);
+                return Round {
+                    states: Arc::new(states),
+                    stats,
+                };
             }
             summary.store.record_round(0, blocks);
             let (states, stats) = solver.solve(&mut problem);
-            (Arc::new(states), stats)
+            Round {
+                states: Arc::new(states),
+                stats,
+            }
         });
-        let stats = round.1;
+        let stats = round.stats;
         total.node_visits += stats.node_visits;
         total.state_updates += stats.state_updates;
         total.max_worklist_len = total.max_worklist_len.max(stats.max_worklist_len);
@@ -245,7 +251,7 @@ pub(crate) fn solve_prepared(
             .sites()
             .iter()
             .map(|site| {
-                let at_branch = &baseline_round.0[site.branch_node.index()].normal;
+                let at_branch = &baseline_round.states[site.branch_node.index()].normal;
                 if baseline_problem.condition_is_must_hit(&site.condition_refs, at_branch) {
                     options.speculation.depth_on_hit
                 } else {
@@ -277,7 +283,7 @@ pub(crate) fn solve_prepared(
                 .enumerate()
                 .filter(|(i, site)| {
                     bounds[*i] < options.speculation.depth_on_miss && {
-                        let at_branch = &round.0[site.branch_node.index()].normal;
+                        let at_branch = &round.states[site.branch_node.index()].normal;
                         !problem.condition_is_must_hit(&site.condition_refs, at_branch)
                     }
                 })
@@ -293,7 +299,7 @@ pub(crate) fn solve_prepared(
     };
 
     // Classification.
-    let states = &round.0;
+    let states = &round.states;
     let accesses = classify_accesses(&problem, vcfg, states);
     let bounds = problem.bounds.clone();
     let speculated_branches = vcfg.num_speculated_branches();
@@ -303,7 +309,7 @@ pub(crate) fn solve_prepared(
         program: Arc::clone(analyzed),
         address_map: Arc::clone(amap),
         cache: options.cache,
-        states: Arc::clone(&round.0),
+        states: Arc::clone(&round.states),
         accesses,
         stats: total_stats,
         rounds,

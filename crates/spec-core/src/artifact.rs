@@ -26,25 +26,24 @@
 //! Cache *counters* (hits/misses/adoptions) are process statistics, not
 //! session content — restored sessions start from zero, exactly like a fresh
 //! prepare, so responses stay byte-identical after the timing strip.
-//! Analyzer policy (suite-thread and round-cache bounds) is also per-process
-//! and is re-applied from the loading [`Analyzer`], not read from disk.
-//! Round-cache *recency* is preserved: rounds are written in
-//! least-to-most-recently-used order and restored under fresh ticks, so a
-//! restored bounded cache evicts in the same order the saved one would have.
+//! Analyzer policy (the suite-thread bound) is also per-process and is
+//! re-applied from the loading [`Analyzer`], not read from disk.  Every
+//! memo table, rounds included, is written in key order, so the payload is
+//! a pure function of the session's contents whatever the thread schedule
+//! that filled it.
 
-use std::num::NonZeroUsize;
 use std::path::PathBuf;
-use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
 use std::time::Instant;
 
 use spec_ir::fingerprint::{program_fingerprint, Fingerprint};
 use spec_ir::Program;
+use spec_store::codec::encode_to_vec;
 use spec_store::{fnv64, ArtifactStore, Codec, DecodeError, Decoder, Encoder, LoadOutcome};
 use spec_telemetry::{Counter, Histogram, Registry};
 
-use crate::session::{Analyzer, Memo, PreparedCore, PreparedProgram, RoundCache};
+use crate::session::{Analyzer, Memo, PreparedCore, PreparedProgram, Round};
 use crate::state::SpecState;
 use crate::summary::{summary_keys, SummaryStore};
 
@@ -64,7 +63,7 @@ const PREPARED_SCHEMA: &str = "prepared-v2;\
  block_keys[per-block summary fingerprints],\
  vcfgs[(depth_on_miss,merge)->{graph{kinds,successors,entry},sites,config}],\
  rounds[(cache,shadow,widening_delay,depth_on_hit,merge,bounds)->\
- (states{normal,spec[color->{shadow,must,may}]},solve_stats)] in lru order]}";
+ (states{normal,spec[color->{shadow,must,may}]},solve_stats)] in key order]}";
 
 /// The options/schema signature embedded in every artifact header.
 pub fn options_signature() -> u64 {
@@ -84,148 +83,107 @@ impl Codec for SpecState {
     }
 }
 
+impl Codec for Round {
+    fn encode(&self, e: &mut Encoder) {
+        self.states.encode(e);
+        self.stats.encode(e);
+    }
+    fn decode(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        Ok(Round {
+            states: Codec::decode(d)?,
+            stats: Codec::decode(d)?,
+        })
+    }
+}
+
+impl Codec for PreparedCore {
+    fn encode(&self, e: &mut Encoder) {
+        self.analyzed.encode(e);
+        self.unroll.encode(e);
+        self.widen_headers.encode(e);
+        self.block_keys.encode(e);
+        in_key_order(self.vcfgs.entries()).encode(e);
+        in_key_order(self.rounds.entries()).encode(e);
+    }
+
+    fn decode(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        let analyzed: Arc<Program> = Codec::decode(d)?;
+        let unroll = Codec::decode(d)?;
+        let widen_headers: Vec<spec_ir::BlockId> = Codec::decode(d)?;
+        if widen_headers
+            .iter()
+            .any(|header| header.index() >= analyzed.blocks().len())
+        {
+            return Err(DecodeError::Invalid("widen header out of range"));
+        }
+
+        let block_keys: Vec<u64> = Codec::decode(d)?;
+        if block_keys != summary_keys(&analyzed) {
+            return Err(DecodeError::Invalid(
+                "summary keys do not match the analyzed program",
+            ));
+        }
+
+        Ok(PreparedCore {
+            analyzed,
+            unroll,
+            widen_headers,
+            block_keys,
+            // A restored core has no donor: summaries come into play only
+            // when the incremental layer adopts across an edit.
+            summaries: None,
+            vcfgs: Memo::from_entries(Codec::decode(d)?),
+            rounds: Memo::from_entries(Codec::decode(d)?),
+        })
+    }
+}
+
+/// A memo table's entries sorted by their keys' encoded bytes: the one
+/// order every table is written in.
+fn in_key_order<K: Codec, V>(mut entries: Vec<(K, V)>) -> Vec<(K, V)> {
+    entries.sort_by_cached_key(|(key, _)| encode_to_vec(key));
+    entries
+}
+
 /// Serializes a prepared session into a self-contained payload.
 ///
-/// Memo tables are emitted in sorted key order (rounds in LRU order, whose
-/// recency is part of the session's observable eviction behaviour), so the
-/// payload is a deterministic function of the session contents.
+/// Memo tables are emitted in key order, so the payload is a deterministic
+/// function of the session contents.
 pub fn encode_prepared(prepared: &PreparedProgram) -> Vec<u8> {
     let mut e = Encoder::new();
     prepared.fingerprint.encode(&mut e);
     prepared.program.encode(&mut e);
-
-    let mut amaps = prepared.amaps.entries();
-    amaps.sort_by_key(|(cache, _)| (cache.line_size, cache.num_sets, cache.associativity));
-    e.usize(amaps.len());
-    for (cache, amap) in amaps {
-        cache.encode(&mut e);
-        amap.encode(&mut e);
-    }
-
-    let mut cores = prepared.cores.entries();
-    cores.sort_by_key(|((unroll_loops, unroll), _)| {
-        (
-            *unroll_loops,
-            unroll.max_program_insts,
-            unroll.max_trip_count,
-        )
-    });
-    e.usize(cores.len());
-    for (key, core) in cores {
-        key.encode(&mut e);
-        core.analyzed.encode(&mut e);
-        core.unroll.encode(&mut e);
-        core.widen_headers.encode(&mut e);
-        core.block_keys.encode(&mut e);
-
-        let mut vcfgs = core.vcfgs.entries();
-        vcfgs.sort_by_key(|((depth, merge), _)| (*depth, *merge as u8));
-        e.usize(vcfgs.len());
-        for (vkey, vcfg) in vcfgs {
-            vkey.encode(&mut e);
-            vcfg.encode(&mut e);
-        }
-
-        core.rounds.lru_entries().encode(&mut e);
-    }
+    in_key_order(prepared.amaps.entries()).encode(&mut e);
+    in_key_order(prepared.cores.entries()).encode(&mut e);
     e.into_bytes()
 }
 
 /// Deserializes a prepared session, applying the loading process's analyzer
-/// policy (thread and round-cache bounds).
+/// policy (the suite-thread bound).
 ///
 /// Fails — rather than producing an inconsistent session — if the payload is
 /// malformed, if the embedded program does not hash to the embedded
 /// fingerprint, or if any derived index is out of range.
 pub fn decode_prepared(bytes: &[u8], analyzer: &Analyzer) -> Result<PreparedProgram, DecodeError> {
     let mut d = Decoder::new(bytes);
-    let prepared = decode_prepared_inner(&mut d, analyzer)?;
-    d.finish()?;
-    Ok(prepared)
-}
-
-fn decode_prepared_inner(
-    d: &mut Decoder<'_>,
-    analyzer: &Analyzer,
-) -> Result<PreparedProgram, DecodeError> {
-    let (max_suite_threads, round_cache_capacity) = analyzer.settings();
-    let fingerprint = Fingerprint::decode(d)?;
-    let program = Program::decode(d)?;
+    let fingerprint = Fingerprint::decode(&mut d)?;
+    let program = Program::decode(&mut d)?;
     if program_fingerprint(&program) != fingerprint {
         return Err(DecodeError::Invalid("program does not match fingerprint"));
     }
-
-    let amap_count = d.seq_len()?;
-    let mut amaps = Vec::with_capacity(amap_count);
-    for _ in 0..amap_count {
-        let cache = Codec::decode(d)?;
-        let amap = Codec::decode(d)?;
-        amaps.push((cache, Arc::new(amap)));
-    }
-
-    let core_count = d.seq_len()?;
-    let mut cores = Vec::with_capacity(core_count);
-    for _ in 0..core_count {
-        let key = Codec::decode(d)?;
-        let core = decode_core(d, round_cache_capacity)?;
-        cores.push((key, Arc::new(core)));
-    }
-
+    let amaps = Memo::from_entries(Codec::decode(&mut d)?);
+    let cores = Memo::from_entries(Codec::decode(&mut d)?);
+    d.finish()?;
     Ok(PreparedProgram {
         program,
         fingerprint,
-        max_suite_threads,
-        round_cache_capacity,
-        cores: Memo::from_entries(cores),
-        amaps: Memo::from_entries(amaps),
-        amaps_adopted: AtomicU64::new(0),
+        max_suite_threads: analyzer.max_suite_threads,
+        cores,
+        amaps,
         // Donor adoption is a live-session act; a restored artifact starts
         // with no pending donors and zeroed summary counters, exactly like
         // a fresh prepare.
         summaries: SummaryStore::new(),
-    })
-}
-
-fn decode_core(
-    d: &mut Decoder<'_>,
-    round_cache_capacity: Option<NonZeroUsize>,
-) -> Result<PreparedCore, DecodeError> {
-    let analyzed: Arc<Program> = Codec::decode(d)?;
-    let unroll = Codec::decode(d)?;
-    let widen_headers: Vec<spec_ir::BlockId> = Codec::decode(d)?;
-    if widen_headers
-        .iter()
-        .any(|header| header.index() >= analyzed.blocks().len())
-    {
-        return Err(DecodeError::Invalid("widen header out of range"));
-    }
-
-    let block_keys: Vec<u64> = Codec::decode(d)?;
-    if block_keys != summary_keys(&analyzed) {
-        return Err(DecodeError::Invalid(
-            "summary keys do not match the analyzed program",
-        ));
-    }
-
-    let vcfg_count = d.seq_len()?;
-    let mut vcfgs = Vec::with_capacity(vcfg_count);
-    for _ in 0..vcfg_count {
-        let key = Codec::decode(d)?;
-        let vcfg: spec_vcfg::Vcfg = Codec::decode(d)?;
-        vcfgs.push((key, Arc::new(vcfg)));
-    }
-
-    let rounds = Codec::decode(d)?;
-    Ok(PreparedCore {
-        analyzed,
-        unroll,
-        widen_headers,
-        block_keys,
-        // A restored core has no donor: summaries come into play only when
-        // the incremental layer adopts across an edit.
-        summaries: None,
-        vcfgs: Memo::from_entries(vcfgs),
-        rounds: RoundCache::from_entries(round_cache_capacity, rounds),
     })
 }
 
@@ -454,12 +412,14 @@ impl PreparedStore {
 
 #[cfg(test)]
 mod tests {
+    use std::num::NonZeroUsize;
+
     use spec_cache::CacheConfig;
     use spec_ir::builder::ProgramBuilder;
     use spec_ir::{BranchSemantics, IndexExpr, MemRef};
 
     use super::*;
-    use crate::session::comparison_configs;
+    use crate::session::{comparison_configs, CacheStats};
     use crate::AnalysisOptions;
 
     fn sample_program(name: &str) -> Program {
@@ -521,15 +481,22 @@ mod tests {
 
     #[test]
     fn encoding_is_deterministic() {
+        // Bytes and counters are functions of the session contents alone,
+        // whatever the number of suite threads racing to fill the tables.
         let program = sample_program("deterministic");
-        let analyzer = Analyzer::new();
         let cache = CacheConfig::fully_associative(8, 64);
-        let make = || {
+        let make = |threads: usize| {
+            let analyzer = Analyzer::new().max_suite_threads(NonZeroUsize::new(threads).unwrap());
             let prepared = analyzer.prepare(&program);
             prepared.run_suite(&comparison_configs(cache));
-            encode_prepared(&prepared)
+            (encode_prepared(&prepared), prepared.cache_stats())
         };
-        assert_eq!(make(), make());
+        let (bytes, stats) = make(1);
+        for threads in [2, 4] {
+            let (other_bytes, other_stats) = make(threads);
+            assert!(other_bytes == bytes, "{threads} threads: bytes differ");
+            assert_eq!(other_stats, stats, "{threads} threads");
+        }
     }
 
     #[test]
@@ -564,88 +531,37 @@ mod tests {
         }
     }
 
-    /// Populates a session whose round-cache LRU order differs from
-    /// insertion order: the whole comparison panel runs, then the first
-    /// configuration replays (pure hits), moving its rounds to the
-    /// most-recent end.
-    fn populated_with_skewed_recency(
-        analyzer: &Analyzer,
-    ) -> (PreparedProgram, Vec<(String, AnalysisOptions)>) {
-        let program = sample_program("recency");
+    #[test]
+    fn restored_sessions_re_encode_byte_identically() {
+        let analyzer = Analyzer::new();
+        let program = sample_program("restored");
         let prepared = analyzer.prepare(&program);
         let configs = comparison_configs(CacheConfig::fully_associative(8, 64));
-        prepared.run_suite(&configs);
-        prepared.run(&configs[0].1);
-        (prepared, configs)
-    }
-
-    #[test]
-    fn round_cache_recency_survives_a_round_trip() {
-        let analyzer = Analyzer::new();
-        let (prepared, _) = populated_with_skewed_recency(&analyzer);
-        let bytes = encode_prepared(&prepared);
-        let restored = decode_prepared(&bytes, &analyzer).unwrap();
-
-        let saved: std::collections::HashMap<_, _> = prepared
-            .cores
-            .entries()
-            .into_iter()
-            .map(|(key, core)| (key, core.rounds.lru_order()))
-            .collect();
-        assert!(
-            saved.values().any(|order| order.len() > 1),
-            "the contract needs a multi-entry round cache to be meaningful"
-        );
-        for (key, core) in restored.cores.entries() {
-            assert_eq!(
-                core.rounds.lru_order(),
-                saved[&key],
-                "restoring must reproduce the saved least-to-most-recent order \
-                 under fresh ticks"
-            );
-            // Counters describe this process's executions only: the restore
-            // itself is not an execution event.
-            assert_eq!(core.rounds.counts(), (0, 0, 0));
-        }
-    }
-
-    #[test]
-    fn bounded_restore_drops_oldest_rounds_and_reconciles_counters() {
-        let analyzer = Analyzer::new();
-        let (prepared, configs) = populated_with_skewed_recency(&analyzer);
         let baseline = prepared.run_suite(&configs).report().without_timing();
-        let saved: std::collections::HashMap<_, _> = prepared
-            .cores
-            .entries()
-            .into_iter()
-            .map(|(key, core)| (key, core.rounds.lru_order()))
-            .collect();
+        prepared.run(&configs[0].1);
         let bytes = encode_prepared(&prepared);
+        assert!(
+            prepared
+                .cores
+                .entries()
+                .iter()
+                .any(|(_, core)| core.rounds.entries().len() > 1),
+            "the contract needs a multi-entry round table to be meaningful"
+        );
 
-        let tight = Analyzer::new().round_cache_capacity(NonZeroUsize::new(1).unwrap());
-        let restored = decode_prepared(&bytes, &tight).unwrap();
-        for (key, core) in restored.cores.entries() {
-            let order = core.rounds.lru_order();
-            assert!(order.len() <= 1, "capacity 1 must hold at the restore");
-            assert_eq!(
-                order.last(),
-                saved[&key].last(),
-                "the survivor is the most recently used saved round"
-            );
-        }
-        // The drop-to-capacity is part of the restore, not an execution:
-        // counters start zeroed and the growth stamp sits at its origin, so
+        let restored = decode_prepared(&bytes, &analyzer).unwrap();
+        assert_eq!(encode_prepared(&restored), bytes);
+        // Counters describe this process's executions only: the restore is
+        // not an execution, so the growth stamp sits at its origin and
         // store dirty-tracking cannot misread the restore as growth.
-        assert_eq!(restored.cache_stats().round_evictions, 0);
+        assert_eq!(restored.cache_stats(), CacheStats::default());
         assert_eq!(restored.growth_stamp(), 0);
 
-        // The bounded restore still answers byte-identically — dropped
-        // rounds are re-solved, which the ledger now shows as misses and a
-        // moved growth stamp.
+        // The restore answers byte-identically from its tables alone.
         let report = restored.run_suite(&configs).report().without_timing();
         assert_eq!(report.to_json(), baseline.to_json());
-        assert!(restored.cache_stats().round_misses > 0);
-        assert!(restored.growth_stamp() > 0);
+        assert_eq!(restored.growth_stamp(), 0, "every artifact was replayed");
+        assert_eq!(encode_prepared(&restored), bytes);
     }
 
     #[test]

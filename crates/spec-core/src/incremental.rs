@@ -278,8 +278,8 @@ impl SessionCache {
         Self::with_analyzer(Analyzer::new())
     }
 
-    /// An empty session whose programs are prepared by `analyzer` (thread
-    /// caps, round-cache bounds).
+    /// An empty session whose programs are prepared by `analyzer` (its
+    /// suite-thread cap).
     pub fn with_analyzer(analyzer: Analyzer) -> Self {
         Self {
             analyzer,
@@ -691,7 +691,8 @@ impl SessionCache {
         if let Some(entry) = self.entries.get_mut(&name) {
             if entry.fingerprint == fingerprint {
                 entry.tick = tick;
-                let diff = want_diff.then(|| ProgramDiff::between(entry.prepared.program(), program));
+                let diff =
+                    want_diff.then(|| ProgramDiff::between(entry.prepared.program(), program));
                 // The fingerprint is name-free, so an equal print does not
                 // mean an equal program: serving the cached handle across a
                 // pure rename would leak the pre-edit region and block
@@ -826,7 +827,6 @@ impl SessionCache {
             total.vcfg_misses += s.vcfg_misses;
             total.round_hits += s.round_hits;
             total.round_misses += s.round_misses;
-            total.round_evictions += s.round_evictions;
             total.summary_hits += s.summary_hits;
             total.summary_misses += s.summary_misses;
             total.summaries_invalidated += s.summaries_invalidated;

@@ -631,6 +631,12 @@ impl Response {
 }
 
 /// Server tuning.
+///
+/// [`ServiceConfig::max_session_bytes`] is the one memory bound: at every
+/// request boundary it measures each resident session's memo tables in
+/// full (unrolled cores, address maps, VCFGs and fixpoint rounds) and
+/// evicts whole sessions.  Inside a session nothing is evicted: every
+/// artifact is built once and kept for the session's lifetime.
 #[derive(Clone, Debug)]
 pub struct ServiceConfig {
     /// Fixed worker-pool size (the request-level parallelism).
@@ -638,10 +644,6 @@ pub struct ServiceConfig {
     /// Per-request line cap; longer lines close the connection with an
     /// error response instead of buffering without bound.
     pub max_request_bytes: usize,
-    /// LRU bound on every prepared variant's fixpoint-round cache — a
-    /// long-lived server must not grow without limit.  Eviction never
-    /// changes results.
-    pub round_cache_capacity: NonZeroUsize,
     /// Byte budget over the whole session cache (`--max-session-bytes`):
     /// resident [`PreparedProgram`]s are byte-accounted after every request
     /// and evicted least recently used first until the cache fits.  `None`
@@ -668,13 +670,12 @@ pub struct ServiceConfig {
 }
 
 impl ServiceConfig {
-    /// A config with `jobs` workers and default caps (8 MiB requests,
-    /// 256-round caches, no session byte budget, no artifact store).
+    /// A config with `jobs` workers and default caps (8 MiB requests, no
+    /// session byte budget, no artifact store).
     pub fn new(jobs: NonZeroUsize) -> Self {
         Self {
             jobs,
             max_request_bytes: 8 << 20,
-            round_cache_capacity: NonZeroUsize::new(256).expect("nonzero"),
             max_session_bytes: None,
             artifact_dir: None,
             max_store_bytes: None,
@@ -728,12 +729,6 @@ impl ServiceConfigBuilder {
     /// Per-request line cap in bytes (default 8 MiB).
     pub fn max_request_bytes(mut self, bytes: usize) -> Self {
         self.config.max_request_bytes = bytes;
-        self
-    }
-
-    /// LRU bound on each prepared variant's fixpoint-round cache.
-    pub fn round_cache_capacity(mut self, capacity: NonZeroUsize) -> Self {
-        self.config.round_cache_capacity = capacity;
         self
     }
 
@@ -1026,9 +1021,7 @@ struct Job {
 /// close that connection.
 pub fn serve(listener: TcpListener, config: &ServiceConfig) -> io::Result<ServiceReport> {
     let addr = listener.local_addr()?;
-    let analyzer = Analyzer::new()
-        .max_suite_threads(NonZeroUsize::MIN)
-        .round_cache_capacity(config.round_cache_capacity);
+    let analyzer = Analyzer::new().max_suite_threads(NonZeroUsize::MIN);
     let mut cache = SessionCache::with_analyzer(analyzer);
     if let Some(bytes) = config.max_session_bytes {
         cache = cache.max_session_bytes(bytes);
@@ -1490,7 +1483,10 @@ fn metrics_output(state: &ServerState) -> String {
     // shrink the aggregate) never read as a counter decrease — at worst
     // their unsampled tail is under-counted, never negative.
     let hits = state.sessions.cache_stats().summary_hits;
-    let seen = state.telemetry.summary_reuse_seen.swap(hits, Ordering::AcqRel);
+    let seen = state
+        .telemetry
+        .summary_reuse_seen
+        .swap(hits, Ordering::AcqRel);
     state.telemetry.summary_reuse.add(hits.saturating_sub(seen));
     state.telemetry.registry.render()
 }

@@ -59,7 +59,7 @@ use std::fmt;
 use std::hash::Hash;
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use spec_absint::SolveStats;
@@ -83,8 +83,9 @@ use crate::summary::{summary_keys, CoreSummaries, DonorSnapshot, SummaryCtx, Sum
 /// memoized) inside the prepared program.
 #[derive(Clone, Debug, Default)]
 pub struct Analyzer {
-    max_suite_threads: Option<NonZeroUsize>,
-    round_cache_capacity: Option<NonZeroUsize>,
+    /// Applied to deserialized sessions as well: the suite-thread bound is
+    /// per-process policy, not part of a program's serialized artifact.
+    pub(crate) max_suite_threads: Option<NonZeroUsize>,
 }
 
 impl Analyzer {
@@ -100,28 +101,6 @@ impl Analyzer {
         self
     }
 
-    /// Bounds the fixpoint-round cache of every prepared variant to at most
-    /// `capacity` entries, evicted in least-recently-used order.
-    ///
-    /// By default the round cache is unbounded, which is right for
-    /// per-comparison sessions but not for long-lived server-style sessions
-    /// (e.g. an edit-analyze loop holding a [`crate::incremental::SessionCache`]
-    /// open for hours).  Eviction never changes results — an evicted round
-    /// is recomputed deterministically on its next use — it only trades
-    /// memory for recomputation; the [`CacheStats`] counters expose the
-    /// trade.
-    pub fn round_cache_capacity(mut self, capacity: NonZeroUsize) -> Self {
-        self.round_cache_capacity = Some(capacity);
-        self
-    }
-
-    /// The configured settings, applied to deserialized sessions as well:
-    /// suite-thread and round-cache bounds are per-process policy, not part
-    /// of a program's serialized artifact state.
-    pub(crate) fn settings(&self) -> (Option<NonZeroUsize>, Option<NonZeroUsize>) {
-        (self.max_suite_threads, self.round_cache_capacity)
-    }
-
     /// Wraps `program` into a session that computes unrolled programs,
     /// address maps, CFG/loop information and VCFGs at most once each and
     /// shares them across every subsequent run.
@@ -130,43 +109,36 @@ impl Analyzer {
             fingerprint: program_fingerprint(program),
             program: program.clone(),
             max_suite_threads: self.max_suite_threads,
-            round_cache_capacity: self.round_cache_capacity,
             cores: Memo::new(),
             amaps: Memo::new(),
-            amaps_adopted: AtomicU64::new(0),
             summaries: SummaryStore::new(),
         }
     }
 }
 
-/// A synchronized memo table with hit/miss counters: the building block of
-/// every per-session artifact cache (unrolled cores, address maps, VCFGs).
-/// Values are computed **outside** the lock, exactly like [`RoundCache`]:
-/// the lock only guards map operations, so readers that merely inspect the
+/// A single-flight memo table with hit/miss/seed counters: the one
+/// building block of every per-session artifact cache (unrolled cores,
+/// address maps, VCFGs, fixpoint rounds).
+///
+/// Each key owns a slot that is filled at most once.  The map lock only
+/// guards slot lookup, never a build, so readers that merely inspect the
 /// table — above all the byte-accounting [`Memo::heap_bytes`] walk behind
-/// `status` and budget enforcement — never block behind a slow artifact
-/// build.  Racing computations are benign: every artifact is a pure
-/// function of its key, so the copies are interchangeable and the first
-/// insert wins (both count as misses — two recomputations happened).
+/// `status` and budget enforcement — never block behind a slow artifact.
+/// Callers racing for one key wait on its slot instead of building a
+/// second copy: the thread whose closure runs counts the one miss, every
+/// other caller (waiters included) a hit.  So every artifact is built
+/// exactly once and the counters are a function of the requests alone,
+/// whatever the thread schedule.
 pub(crate) struct Memo<K, V> {
-    inner: Mutex<MemoInner<K, V>>,
-}
-
-struct MemoInner<K, V> {
-    map: HashMap<K, Arc<V>>,
-    hits: u64,
-    misses: u64,
+    slots: Mutex<HashMap<K, Arc<OnceLock<Arc<V>>>>>,
+    hits: AtomicU64,
+    misses: AtomicU64,
+    seeded: AtomicU64,
 }
 
 impl<K: Eq + Hash, V> Memo<K, V> {
-    fn new() -> Self {
-        Self {
-            inner: Mutex::new(MemoInner {
-                map: HashMap::new(),
-                hits: 0,
-                misses: 0,
-            }),
-        }
+    pub(crate) fn new() -> Self {
+        Self::from_entries(Vec::new())
     }
 
     /// Rebuilds a table from deserialized entries with zeroed counters.
@@ -176,83 +148,97 @@ impl<K: Eq + Hash, V> Memo<K, V> {
     /// cold sessions remain byte-identical after the timing strip.
     pub(crate) fn from_entries(entries: Vec<(K, Arc<V>)>) -> Self {
         Self {
-            inner: Mutex::new(MemoInner {
-                map: entries.into_iter().collect(),
-                hits: 0,
-                misses: 0,
-            }),
+            slots: Mutex::new(
+                entries
+                    .into_iter()
+                    .map(|(key, value)| (key, Arc::new(OnceLock::from(value))))
+                    .collect(),
+            ),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+            seeded: AtomicU64::new(0),
         }
     }
 
-    fn get_or_insert_with(&self, key: K, make: impl FnOnce() -> V) -> Arc<V> {
-        {
-            let mut inner = self.inner.lock().expect("memo table poisoned");
-            if let Some(hit) = inner.map.get(&key) {
-                let hit = hit.clone();
-                inner.hits += 1;
-                return hit;
-            }
-            inner.misses += 1;
-        }
-        let value = Arc::new(make());
-        let mut inner = self.inner.lock().expect("memo table poisoned");
-        match inner.map.entry(key) {
-            std::collections::hash_map::Entry::Occupied(entry) => entry.get().clone(),
-            std::collections::hash_map::Entry::Vacant(entry) => {
-                entry.insert(value.clone());
-                value
-            }
-        }
+    fn slot(&self, key: K) -> Arc<OnceLock<Arc<V>>> {
+        let mut slots = self.slots.lock().expect("memo table poisoned");
+        Arc::clone(slots.entry(key).or_default())
     }
 
-    /// Inserts `value` under `key` unless present (no counter effect —
-    /// adoption is bookkept by the caller, not as a hit or miss).
+    /// The value of `key`, built by `make` if no caller has built it yet.
+    pub(crate) fn get_or_insert_with(&self, key: K, make: impl FnOnce() -> V) -> Arc<V> {
+        let slot = self.slot(key);
+        let mut built = false;
+        let value = slot.get_or_init(|| {
+            built = true;
+            Arc::new(make())
+        });
+        let counter = if built { &self.misses } else { &self.hits };
+        counter.fetch_add(1, Ordering::Relaxed);
+        Arc::clone(value)
+    }
+
+    /// Fills the slot of `key` with `value` unless it is filled already;
+    /// a fill counts as *seeded*, neither hit nor miss.
     fn seed(&self, key: K, value: Arc<V>) -> bool {
-        let mut inner = self.inner.lock().expect("memo table poisoned");
-        if inner.map.contains_key(&key) {
-            return false;
+        let seeded = self.slot(key).set(value).is_ok();
+        if seeded {
+            self.seeded.fetch_add(1, Ordering::Relaxed);
         }
-        inner.map.insert(key, value);
-        true
+        seeded
     }
 
-    /// `(hits, misses)` so far.
-    fn counts(&self) -> (u64, u64) {
-        let inner = self.inner.lock().expect("memo table poisoned");
-        (inner.hits, inner.misses)
+    /// `(hits, misses, seeded)` so far.
+    fn counts(&self) -> (u64, u64, u64) {
+        (
+            self.hits.load(Ordering::Relaxed),
+            self.misses.load(Ordering::Relaxed),
+            self.seeded.load(Ordering::Relaxed),
+        )
     }
 
+    /// Number of filled slots.
     fn len(&self) -> usize {
-        self.inner.lock().expect("memo table poisoned").map.len()
+        let slots = self.slots.lock().expect("memo table poisoned");
+        slots.values().filter(|slot| slot.get().is_some()).count()
     }
 
-    /// Snapshot of the cached values (for aggregation, adoption and
-    /// serialization).
+    /// Snapshot of the filled slots (for aggregation, adoption and
+    /// serialization), in no particular order.
     pub(crate) fn entries(&self) -> Vec<(K, Arc<V>)>
     where
         K: Clone,
     {
-        self.inner
+        self.slots
             .lock()
             .expect("memo table poisoned")
-            .map
             .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
+            .filter_map(|(key, slot)| Some((key.clone(), Arc::clone(slot.get()?))))
             .collect()
     }
 
-    /// Estimated owned heap bytes of the table: entry slots, key heap, and
-    /// every `Arc`-held value in full (see [`spec_ir::heap`]).
+    /// Estimated owned heap bytes of the filled slots: per entry the key
+    /// and the value handle, the key's heap, and the `Arc`-held value in
+    /// full (see [`spec_ir::heap`]).
     fn heap_bytes(&self) -> usize
     where
         K: HeapSize,
         V: HeapSize,
     {
-        self.inner
+        self.slots
             .lock()
             .expect("memo table poisoned")
-            .map
-            .heap_size()
+            .iter()
+            .filter_map(|(key, slot)| {
+                let value = slot.get()?;
+                Some(
+                    std::mem::size_of::<K>()
+                        + std::mem::size_of::<Arc<V>>()
+                        + key.heap_size()
+                        + value.heap_size(),
+                )
+            })
+            .sum()
     }
 }
 
@@ -269,9 +255,19 @@ pub(crate) type UnrollKey = (bool, UnrollOptions);
 /// ablation share the VCFG of the full configuration.
 pub(crate) type VcfgKey = (u32, MergeStrategy);
 
-/// The states and statistics of one fixpoint round.  The states are
-/// `Arc`-shared so cached replays hand them to results without copying.
-pub(crate) type RoundResult = (Arc<Vec<SpecState>>, SolveStats);
+/// The converged states and solver statistics of one fixpoint round.  The
+/// states are `Arc`-shared so cached replays hand them to results without
+/// copying.
+pub(crate) struct Round {
+    pub(crate) states: Arc<Vec<SpecState>>,
+    pub(crate) stats: SolveStats,
+}
+
+impl HeapSize for Round {
+    fn heap_size(&self) -> usize {
+        self.states.heap_size()
+    }
+}
 
 /// Every input that feeds one fixpoint round: cache geometry, shadow
 /// tracking, widening delay, the VCFG structure (window length + merge
@@ -279,201 +275,6 @@ pub(crate) type RoundResult = (Arc<Vec<SpecState>>, SolveStats);
 /// deterministic, so a round is a pure function of this key (within one
 /// unrolled program variant).
 pub(crate) type RoundKey = (CacheConfig, bool, u32, u32, MergeStrategy, Vec<u32>);
-
-/// Memoized fixpoint rounds, optionally bounded with LRU eviction.
-///
-/// The biggest repeated cost across a comparison suite is the solver
-/// itself: every dynamic-depth-bounding configuration starts from the same
-/// zero-bounds seeding pass, and ablations that only flip solver-side knobs
-/// revisit identical rounds.  Caching rounds per [`RoundKey`] shares that
-/// work — results stay bit-identical because the solver is deterministic.
-/// The cache lives as long as its [`PreparedProgram`]; long-lived sessions
-/// (the incremental edit-analyze loop) bound it via
-/// [`Analyzer::round_cache_capacity`], under which the least recently used
-/// round is dropped first.  Eviction is invisible to results — a dropped
-/// round is recomputed identically — and visible in the [`CacheStats`]
-/// counters.
-pub(crate) struct RoundCache {
-    inner: Mutex<RoundCacheInner>,
-    capacity: Option<NonZeroUsize>,
-}
-
-/// Recency is a monotonic use tick per entry: a hit bumps the tick in
-/// O(1), and only an actual eviction pays an O(n) scan for the minimum —
-/// the right trade for a cache whose hits vastly outnumber its evictions
-/// (suite threads holding the lock must never pay per-hit linear scans).
-struct RoundCacheInner {
-    map: HashMap<RoundKey, (Arc<RoundResult>, u64)>,
-    tick: u64,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-}
-
-impl RoundCacheInner {
-    fn next_tick(&mut self) -> u64 {
-        self.tick += 1;
-        self.tick
-    }
-
-    fn evict_to(&mut self, capacity: Option<NonZeroUsize>) {
-        let Some(capacity) = capacity else { return };
-        while self.map.len() > capacity.get() {
-            let lru = self
-                .map
-                .iter()
-                .min_by_key(|(_, (_, tick))| *tick)
-                .map(|(key, _)| key.clone())
-                .expect("over-capacity map is non-empty");
-            self.map.remove(&lru);
-            self.evictions += 1;
-        }
-    }
-}
-
-impl RoundCache {
-    fn new(capacity: Option<NonZeroUsize>) -> Self {
-        Self {
-            inner: Mutex::new(RoundCacheInner {
-                map: HashMap::new(),
-                tick: 0,
-                hits: 0,
-                misses: 0,
-                evictions: 0,
-            }),
-            capacity,
-        }
-    }
-
-    /// Returns the cached round for `key`, computing it (outside the lock,
-    /// so concurrent suite workers never serialize on each other's solves)
-    /// when absent.  Racing computations are harmless: the solver is
-    /// deterministic, so both produce the same value and the first insert
-    /// wins.
-    pub(crate) fn get_or_compute(
-        &self,
-        key: RoundKey,
-        compute: impl FnOnce() -> RoundResult,
-    ) -> Arc<RoundResult> {
-        {
-            let mut inner = self.inner.lock().expect("round cache poisoned");
-            let tick = inner.next_tick();
-            if let Some((hit, used)) = inner.map.get_mut(&key) {
-                let hit = hit.clone();
-                *used = tick;
-                inner.hits += 1;
-                return hit;
-            }
-            inner.misses += 1;
-        }
-        let value = Arc::new(compute());
-        let mut inner = self.inner.lock().expect("round cache poisoned");
-        let tick = inner.next_tick();
-        let cached = match inner.map.entry(key) {
-            std::collections::hash_map::Entry::Occupied(mut entry) => {
-                entry.get_mut().1 = tick;
-                entry.get().0.clone()
-            }
-            std::collections::hash_map::Entry::Vacant(entry) => {
-                entry.insert((value.clone(), tick));
-                value
-            }
-        };
-        inner.evict_to(self.capacity);
-        cached
-    }
-
-    /// Rebuilds a cache from deserialized entries, preserving their
-    /// least-to-most-recently-used order under fresh ticks and zeroed
-    /// counters (counters describe this process's executions only).  When
-    /// the restoring session's capacity is smaller than the entry count, the
-    /// oldest entries are dropped immediately — same policy as a live cache.
-    pub(crate) fn from_entries(
-        capacity: Option<NonZeroUsize>,
-        entries: Vec<(RoundKey, Arc<RoundResult>)>,
-    ) -> Self {
-        let mut inner = RoundCacheInner {
-            map: HashMap::with_capacity(entries.len()),
-            tick: 0,
-            hits: 0,
-            misses: 0,
-            evictions: 0,
-        };
-        for (key, value) in entries {
-            let tick = inner.next_tick();
-            inner.map.insert(key, (value, tick));
-        }
-        inner.evict_to(capacity);
-        inner.evictions = 0;
-        Self {
-            inner: Mutex::new(inner),
-            capacity,
-        }
-    }
-
-    /// The cached rounds from least to most recently used, for
-    /// serialization: restoring in this order reproduces the recency
-    /// ordering (and therefore future eviction behaviour) of the saved
-    /// session.
-    pub(crate) fn lru_entries(&self) -> Vec<(RoundKey, Arc<RoundResult>)> {
-        let inner = self.inner.lock().expect("round cache poisoned");
-        let mut entries: Vec<(u64, RoundKey, Arc<RoundResult>)> = inner
-            .map
-            .iter()
-            .map(|(key, (value, tick))| (*tick, key.clone(), value.clone()))
-            .collect();
-        // Ticks are unique per entry, so they are a total order already.
-        entries.sort_by_key(|(tick, _, _)| *tick);
-        entries
-            .into_iter()
-            .map(|(_, key, value)| (key, value))
-            .collect()
-    }
-
-    /// `(hits, misses, evictions)` so far.
-    pub(crate) fn counts(&self) -> (u64, u64, u64) {
-        let inner = self.inner.lock().expect("round cache poisoned");
-        (inner.hits, inner.misses, inner.evictions)
-    }
-
-    /// Estimated owned heap bytes of the cached rounds.  Counted by hand
-    /// because [`SolveStats`] lives outside the [`HeapSize`] crates: per
-    /// entry, the key (inline plus its bounds vector), the map slot, and
-    /// the `Arc`-held round with its state vector in full.
-    fn heap_bytes(&self) -> usize {
-        let inner = self.inner.lock().expect("round cache poisoned");
-        inner
-            .map
-            .iter()
-            .map(|(key, (value, _tick))| {
-                std::mem::size_of::<RoundKey>()
-                    + key.5.heap_size()
-                    + std::mem::size_of::<(Arc<RoundResult>, u64)>()
-                    + std::mem::size_of::<RoundResult>()
-                    + value.0.heap_size()
-            })
-            .sum()
-    }
-
-    #[cfg(test)]
-    pub(crate) fn len(&self) -> usize {
-        self.inner.lock().unwrap().map.len()
-    }
-
-    /// The cached keys from least to most recently used (test introspection
-    /// for the eviction-order contract).
-    #[cfg(test)]
-    pub(crate) fn lru_order(&self) -> Vec<RoundKey> {
-        let inner = self.inner.lock().unwrap();
-        let mut entries: Vec<(u64, RoundKey)> = inner
-            .map
-            .iter()
-            .map(|(key, (_, tick))| (*tick, key.clone()))
-            .collect();
-        entries.sort_by_key(|(tick, _)| *tick);
-        entries.into_iter().map(|(_, key)| key).collect()
-    }
-}
 
 /// Artifacts derived from one unrolled variant of the program.
 pub(crate) struct PreparedCore {
@@ -494,14 +295,13 @@ pub(crate) struct PreparedCore {
     /// Virtual CFGs, memoized per speculation structure.
     pub(crate) vcfgs: Memo<VcfgKey, Vcfg>,
     /// Fixpoint rounds, memoized per solver input.
-    pub(crate) rounds: RoundCache,
+    pub(crate) rounds: Memo<RoundKey, Round>,
 }
 
 impl PreparedCore {
     fn new(
         program: &Program,
         key: UnrollKey,
-        round_capacity: Option<NonZeroUsize>,
         donor: Option<DonorSnapshot>,
         store: &SummaryStore,
     ) -> Self {
@@ -522,14 +322,23 @@ impl PreparedCore {
             block_keys,
             summaries,
             vcfgs: Memo::new(),
-            rounds: RoundCache::new(round_capacity),
+            rounds: Memo::new(),
         }
     }
 
     fn vcfg(&self, config: SpeculationConfig) -> Arc<Vcfg> {
         let key: VcfgKey = (config.depth_on_miss, config.merge_strategy);
+        // Built from the key alone (as the static-depth configuration of
+        // that structure): the VCFG records its config, so building from
+        // the caller's would make the shared value — and the artifact bytes
+        // — depend on which configuration happened to ask first.
+        let structural = SpeculationConfig {
+            depth_on_hit: config.depth_on_miss,
+            dynamic_depth_bounding: false,
+            ..config
+        };
         self.vcfgs
-            .get_or_insert_with(key, || Vcfg::build(&self.analyzed, config))
+            .get_or_insert_with(key, || Vcfg::build(&self.analyzed, structural))
     }
 }
 
@@ -544,7 +353,7 @@ impl HeapSize for PreparedCore {
     }
 }
 
-/// Hit/miss/eviction counters of every artifact cache inside a
+/// Hit/miss counters of every artifact cache inside a
 /// [`PreparedProgram`], cumulative over the session's lifetime.
 ///
 /// * *cores* — unrolled program variants (one per unrolling budget);
@@ -553,8 +362,7 @@ impl HeapSize for PreparedCore {
 ///   incremental layer (possible because the memory layout is a pure
 ///   function of the region table, which the edit left untouched);
 /// * *vcfgs* — virtual CFGs (one per speculation structure);
-/// * *rounds* — memoized fixpoint rounds, with the evictions performed by
-///   the LRU bound of [`Analyzer::round_cache_capacity`];
+/// * *rounds* — memoized fixpoint rounds;
 /// * *summaries* — per-block fixpoint summaries (see `spec_core::summary`):
 ///   a hit is a block whose converged states were transplanted from an
 ///   adopted pre-edit session, a miss a block solved by iteration, and
@@ -562,7 +370,9 @@ impl HeapSize for PreparedCore {
 ///   plus transitive dependents).
 ///
 /// For every row `hits + misses` equals the number of times the artifact
-/// was requested; a miss is a recomputation.  The counters describe *how* a
+/// was requested, and a miss is the one build of that artifact: every table
+/// is single-flight, so the counts do not depend on the thread schedule.
+/// The counters describe *how* a
 /// result was obtained, never *what* it is — [`Report::without_timing`]
 /// strips them alongside the clocks so that cached and fresh runs of equal
 /// programs serialize to equal bytes.
@@ -586,8 +396,6 @@ pub struct CacheStats {
     pub round_hits: u64,
     /// Fixpoint rounds actually solved.
     pub round_misses: u64,
-    /// Fixpoint rounds evicted by the LRU bound.
-    pub round_evictions: u64,
     /// Per-block summaries transplanted from an adopted donor session
     /// instead of re-solved, accumulated over every actually-solved round.
     /// Zero unless the incremental layer adopted a prior session.
@@ -645,7 +453,7 @@ impl fmt::Display for CacheStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "cores {}h/{}m, amaps {}h/{}m (+{} adopted), vcfgs {}h/{}m, rounds {}h/{}m ({} evicted)",
+            "cores {}h/{}m, amaps {}h/{}m (+{} adopted), vcfgs {}h/{}m, rounds {}h/{}m",
             self.core_hits,
             self.core_misses,
             self.amap_hits,
@@ -654,8 +462,7 @@ impl fmt::Display for CacheStats {
             self.vcfg_hits,
             self.vcfg_misses,
             self.round_hits,
-            self.round_misses,
-            self.round_evictions
+            self.round_misses
         )?;
         if self.summary_hits > 0 || self.summaries_invalidated > 0 {
             write!(
@@ -699,7 +506,6 @@ pub struct PreparedProgram {
     pub(crate) program: Program,
     pub(crate) fingerprint: Fingerprint,
     pub(crate) max_suite_threads: Option<NonZeroUsize>,
-    pub(crate) round_cache_capacity: Option<NonZeroUsize>,
     pub(crate) cores: Memo<UnrollKey, PreparedCore>,
     /// Address maps, memoized per cache geometry.  These live on the
     /// program (not the unrolled core) because the memory layout reads only
@@ -707,7 +513,6 @@ pub struct PreparedProgram {
     /// unroll variant shares one map per geometry, and the incremental
     /// layer can rebind them across edits that leave the regions untouched.
     pub(crate) amaps: Memo<CacheConfig, AddressMap>,
-    pub(crate) amaps_adopted: AtomicU64,
     /// The compositional-summary tier: donor snapshots pending adoption
     /// (stashed by [`PreparedProgram::adopt_summaries`], consumed when the
     /// matching unroll variant's core is built) and the session's summary
@@ -741,10 +546,8 @@ impl PreparedProgram {
             fingerprint: self.fingerprint,
             program: program.clone(),
             max_suite_threads: self.max_suite_threads,
-            round_cache_capacity: self.round_cache_capacity,
             cores: Memo::new(),
             amaps: Memo::new(),
-            amaps_adopted: AtomicU64::new(0),
             summaries: SummaryStore::new(),
         }
     }
@@ -753,13 +556,7 @@ impl PreparedProgram {
         let key: UnrollKey = (options.unroll_loops, options.unroll);
         self.cores.get_or_insert_with(key, || {
             let donor = self.summaries.take(&key);
-            PreparedCore::new(
-                &self.program,
-                key,
-                self.round_cache_capacity,
-                donor,
-                &self.summaries,
-            )
+            PreparedCore::new(&self.program, key, donor, &self.summaries)
         })
     }
 
@@ -780,7 +577,6 @@ impl PreparedProgram {
                 adopted += 1;
             }
         }
-        self.amaps_adopted.fetch_add(adopted, Ordering::Relaxed);
         adopted
     }
 
@@ -809,36 +605,33 @@ impl PreparedProgram {
     /// The cumulative [`CacheStats`] of this session.
     pub fn cache_stats(&self) -> CacheStats {
         let mut stats = CacheStats::default();
-        (stats.core_hits, stats.core_misses) = self.cores.counts();
-        (stats.amap_hits, stats.amap_misses) = self.amaps.counts();
-        stats.amap_adopted = self.amaps_adopted.load(Ordering::Relaxed);
+        (stats.core_hits, stats.core_misses, _) = self.cores.counts();
+        (stats.amap_hits, stats.amap_misses, stats.amap_adopted) = self.amaps.counts();
         (
             stats.summary_hits,
             stats.summary_misses,
             stats.summaries_invalidated,
         ) = self.summaries.counts();
         for (_, core) in self.cores.entries() {
-            let (vh, vm) = core.vcfgs.counts();
+            let (vh, vm, _) = core.vcfgs.counts();
             stats.vcfg_hits += vh;
             stats.vcfg_misses += vm;
-            let (rh, rm, re) = core.rounds.counts();
+            let (rh, rm, _) = core.rounds.counts();
             stats.round_hits += rh;
             stats.round_misses += rm;
-            stats.round_evictions += re;
         }
         stats
     }
 
     /// A cheap, monotone change detector over the session's artifact
-    /// contents: the sum of every *miss*, *adoption* and *eviction* counter.
+    /// contents: the sum of every *miss* and *adoption* counter.
     ///
     /// Hits leave the memo tables untouched, so two equal stamps mean no
-    /// artifact was built, adopted or dropped in between — exactly the
-    /// condition under which both the [`HeapSize`] measurement and the
-    /// serialized form of this session are unchanged.  Budget accounting
-    /// and the artifact-store dirty tracking both key off this instead of
-    /// re-walking the tables.  (Eviction lowers the footprint but still
-    /// changes the stamp; a spurious re-measure/re-persist is harmless.)
+    /// artifact was built or adopted in between — exactly the condition
+    /// under which both the [`HeapSize`] measurement and the serialized
+    /// form of this session are unchanged.  Budget accounting and the
+    /// artifact-store dirty tracking both key off this instead of
+    /// re-walking the tables.
     pub fn growth_stamp(&self) -> u64 {
         let stats = self.cache_stats();
         stats.core_misses
@@ -846,7 +639,6 @@ impl PreparedProgram {
             + stats.amap_adopted
             + stats.vcfg_misses
             + stats.round_misses
-            + stats.round_evictions
     }
 
     /// Runs one configuration, reusing every prepared artifact.
@@ -1134,7 +926,7 @@ impl Report {
                 "  \"session_cache\": {{\"core_hits\": {}, \"core_misses\": {}, \
                  \"amap_hits\": {}, \"amap_misses\": {}, \"amap_adopted\": {}, \
                  \"vcfg_hits\": {}, \"vcfg_misses\": {}, \"round_hits\": {}, \
-                 \"round_misses\": {}, \"round_evictions\": {}, \
+                 \"round_misses\": {}, \
                  \"summary_hits\": {}, \"summary_misses\": {}, \
                  \"summaries_invalidated\": {}, \
                  \"session_evictions\": {}, \"session_bytes\": {}, \
@@ -1150,7 +942,6 @@ impl Report {
                 cache.vcfg_misses,
                 cache.round_hits,
                 cache.round_misses,
-                cache.round_evictions,
                 cache.summary_hits,
                 cache.summary_misses,
                 cache.summaries_invalidated,
@@ -1572,102 +1363,31 @@ mod tests {
         assert_eq!(stripped.rows[0].accesses, 1);
     }
 
-    /// Distinct static speculation depths force distinct round keys inside
-    /// one core — the knob the LRU tests turn to fill the cache.
-    fn depth_config(cache: CacheConfig, depth: u32) -> AnalysisOptions {
-        AnalysisOptions::builder()
-            .cache(cache)
-            .speculation_depths(depth, depth)
-            .dynamic_depth_bounding(false)
-            .build()
-            .unwrap()
-    }
-
     #[test]
-    fn round_cache_evicts_least_recently_used_first() {
-        let program = diamond_program();
-        let cache = CacheConfig::fully_associative(6, 64);
-        let prepared = Analyzer::new()
-            .round_cache_capacity(NonZeroUsize::new(2).unwrap())
-            .prepare(&program);
-        let configs: Vec<AnalysisOptions> = (1..=3).map(|d| depth_config(cache, d)).collect();
-        let fresh: Vec<AnalysisResult> = configs
-            .iter()
-            .map(|o| Analyzer::new().prepare(&program).run(o))
-            .collect();
-
-        // Fill to capacity: A, B — then C evicts A (the LRU).
-        prepared.run(&configs[0]);
-        prepared.run(&configs[1]);
-        let rounds = &prepared.core(&configs[0]).rounds;
-        assert_eq!(rounds.len(), 2);
-        prepared.run(&configs[2]);
-        assert_eq!(rounds.len(), 2, "the bound holds");
-        let key_depth = |key: &RoundKey| key.5.first().copied().unwrap_or(0);
-        assert_eq!(
-            rounds.lru_order().iter().map(key_depth).collect::<Vec<_>>(),
-            vec![2, 3],
-            "depth-1 (least recently used) must be the eviction victim"
-        );
-
-        // Re-running the evicted configuration recomputes — a miss, another
-        // eviction (of depth-2, now the LRU) — and matches the fresh run.
-        let replayed = prepared.run(&configs[0]);
-        assert_eq!(replayed.accesses, fresh[0].accesses);
-        assert_eq!(
-            rounds.lru_order().iter().map(key_depth).collect::<Vec<_>>(),
-            vec![3, 1]
-        );
-        // A hit refreshes recency without evicting.
-        prepared.run(&configs[2]);
-        assert_eq!(
-            rounds.lru_order().iter().map(key_depth).collect::<Vec<_>>(),
-            vec![1, 3]
-        );
-
-        let stats = prepared.cache_stats();
-        assert_eq!(stats.round_misses, 4, "three fills plus one recompute");
-        assert_eq!(stats.round_hits, 1);
-        assert_eq!(stats.round_evictions, 2);
-    }
-
-    #[test]
-    fn post_eviction_reruns_match_fresh_results_and_counters_add_up() {
-        let program = diamond_program();
-        let cache = CacheConfig::fully_associative(6, 64);
-        let prepared = Analyzer::new()
-            .round_cache_capacity(NonZeroUsize::MIN)
-            .prepare(&program);
-        // A capacity-1 cache thrashes across this panel, yet every result
-        // must stay bit-identical to an unbounded fresh run.
-        let configs = comparison_configs(cache);
-        let mut total_rounds = 0u64;
-        for _ in 0..2 {
-            for (label, options) in &configs {
-                let bounded = prepared.run(options);
-                let fresh = Analyzer::new().prepare(&program).run(options);
-                assert_eq!(bounded.accesses, fresh.accesses, "{label}");
-                assert_eq!(bounded.rounds, fresh.rounds, "{label}");
-                assert_eq!(bounded.bounds, fresh.bounds, "{label}");
-                total_rounds += u64::from(bounded.rounds);
+    fn memo_builds_each_value_once_under_contention() {
+        let memo: Memo<u32, u32> = Memo::new();
+        let builds = AtomicUsize::new(0);
+        let barrier = std::sync::Barrier::new(8);
+        std::thread::scope(|scope| {
+            for _ in 0..8 {
+                scope.spawn(|| {
+                    barrier.wait();
+                    let value = memo.get_or_insert_with(7, || {
+                        builds.fetch_add(1, Ordering::Relaxed);
+                        std::thread::sleep(Duration::from_millis(50));
+                        42
+                    });
+                    assert_eq!(*value, 42);
+                });
             }
-        }
-        let stats = prepared.cache_stats();
-        assert_eq!(
-            stats.round_hits + stats.round_misses,
-            total_rounds,
-            "every round is either replayed or solved"
-        );
-        assert!(stats.round_evictions > 0, "capacity 1 must evict");
-        assert_eq!(
-            stats.core_hits + stats.core_misses,
-            2 * configs.len() as u64,
-            "one core lookup per run"
-        );
-        assert_eq!(
-            stats.amap_hits + stats.amap_misses,
-            2 * configs.len() as u64
-        );
+        });
+        assert_eq!(builds.load(Ordering::Relaxed), 1, "the builder runs once");
+        assert_eq!(memo.counts(), (7, 1, 0), "one miss, every waiter a hit");
+        // A filled slot refuses a seed; an empty one takes it.
+        assert!(!memo.seed(7, Arc::new(0)));
+        assert!(memo.seed(8, Arc::new(0)));
+        assert_eq!(memo.counts(), (7, 1, 1));
+        assert_eq!(memo.len(), 2);
     }
 
     #[test]
@@ -1680,14 +1400,41 @@ mod tests {
         let stats = report.cache.expect("suites carry cache stats");
         assert_eq!(stats, prepared.cache_stats());
         assert!(stats.round_misses > 0);
-        assert_eq!(stats.round_evictions, 0, "unbounded by default");
         let json = report.to_json();
         assert!(json.contains("\"session_cache\""));
-        assert!(json.contains("\"round_evictions\": 0"));
+        assert!(json.contains(&format!("\"round_misses\": {}", stats.round_misses)));
         // The stripped form is free of execution detail.
         let stripped = report.without_timing();
         assert_eq!(stripped.cache, None);
         assert!(!stripped.to_json().contains("session_cache"));
+
+        // Re-running every configuration replays it in full, matches a
+        // fresh run, and keeps the ledger: every round is either replayed
+        // or solved, and every run looks up one core and one address map.
+        let configs = comparison_configs(cache);
+        let mut total_rounds: u64 = suite.runs.iter().map(|r| u64::from(r.result.rounds)).sum();
+        for (label, options) in &configs {
+            let rerun = prepared.run(options);
+            let fresh = Analyzer::new().prepare(&program).run(options);
+            assert_eq!(rerun.accesses, fresh.accesses, "{label}");
+            assert_eq!(rerun.rounds, fresh.rounds, "{label}");
+            assert_eq!(rerun.bounds, fresh.bounds, "{label}");
+            total_rounds += u64::from(rerun.rounds);
+        }
+        let after = prepared.cache_stats();
+        assert_eq!(
+            after.round_misses, stats.round_misses,
+            "reruns solve nothing"
+        );
+        assert_eq!(after.round_hits + after.round_misses, total_rounds);
+        assert_eq!(
+            after.core_hits + after.core_misses,
+            2 * configs.len() as u64
+        );
+        assert_eq!(
+            after.amap_hits + after.amap_misses,
+            2 * configs.len() as u64
+        );
     }
 
     #[test]

@@ -51,11 +51,11 @@ use spec_ir::heap::HeapSize;
 use spec_ir::{BlockId, Program};
 use spec_vcfg::{Color, NodeId, Vcfg};
 
-use crate::session::{PreparedCore, RoundKey, RoundResult, UnrollKey, VcfgKey};
+use crate::session::{Memo, PreparedCore, Round, RoundKey, UnrollKey, VcfgKey};
 
 /// The summary tier of one [`crate::session::PreparedProgram`]: donor
 /// snapshots pending adoption, plus the session's summary accounting.
-/// Lives next to the `Memo`/`RoundCache` tables.
+/// Lives next to the session's `Memo` tables.
 pub(crate) struct SummaryStore {
     /// Donor snapshots from a prior session, keyed by unroll variant,
     /// consumed when the matching core of this session is first built.
@@ -140,7 +140,7 @@ pub(crate) struct DonorSnapshot {
     widen_headers: Vec<BlockId>,
     block_keys: Vec<u64>,
     vcfgs: HashMap<VcfgKey, Arc<Vcfg>>,
-    rounds: HashMap<RoundKey, Arc<RoundResult>>,
+    rounds: HashMap<RoundKey, Arc<Round>>,
 }
 
 impl DonorSnapshot {
@@ -150,7 +150,7 @@ impl DonorSnapshot {
             widen_headers: core.widen_headers.clone(),
             block_keys: core.block_keys.clone(),
             vcfgs: core.vcfgs.entries().into_iter().collect(),
-            rounds: core.rounds.lru_entries().into_iter().collect(),
+            rounds: core.rounds.entries().into_iter().collect(),
         }
     }
 }
@@ -160,21 +160,8 @@ impl HeapSize for DonorSnapshot {
         self.analyzed.heap_size()
             + self.widen_headers.heap_size()
             + self.block_keys.heap_size()
-            + self
-                .vcfgs
-                .values()
-                .map(|vcfg| std::mem::size_of::<Vcfg>() + vcfg.heap_size())
-                .sum::<usize>()
-            + self
-                .rounds
-                .iter()
-                .map(|(key, round)| {
-                    std::mem::size_of::<RoundKey>()
-                        + key.5.heap_size()
-                        + std::mem::size_of::<RoundResult>()
-                        + round.0.heap_size()
-                })
-                .sum::<usize>()
+            + self.vcfgs.heap_size()
+            + self.rounds.heap_size()
     }
 }
 
@@ -187,9 +174,9 @@ pub(crate) struct CoreSummaries {
     /// summary key) to the donor block at the same index.
     matched: Vec<bool>,
     /// Per-VCFG seeding decision, memoized per speculation structure.
-    /// `None` inside the map records a failed gate: fall back to full
-    /// solves for that structure, and never retry the gate.
-    seeds: Mutex<HashMap<VcfgKey, Option<Arc<VcfgSeed>>>>,
+    /// A `None` decision records a failed gate: fall back to full solves
+    /// for that structure, and never retry the gate.
+    seeds: Memo<VcfgKey, Option<Arc<VcfgSeed>>>,
 }
 
 impl CoreSummaries {
@@ -211,12 +198,12 @@ impl CoreSummaries {
         Self {
             donor,
             matched,
-            seeds: Mutex::new(HashMap::new()),
+            seeds: Memo::new(),
         }
     }
 
     /// The donor's converged states for one round, if it solved that round.
-    pub(crate) fn donor_round(&self, key: &RoundKey) -> Option<Arc<RoundResult>> {
+    pub(crate) fn donor_round(&self, key: &RoundKey) -> Option<Arc<Round>> {
         self.donor.rounds.get(key).cloned()
     }
 
@@ -231,22 +218,11 @@ impl CoreSummaries {
         vcfg: &Vcfg,
         widen_nodes: &HashSet<usize>,
     ) -> Option<Arc<VcfgSeed>> {
-        if let Some(decision) = self
-            .seeds
-            .lock()
-            .expect("summary seeds poisoned")
-            .get(&key)
-        {
-            return decision.clone();
-        }
-        let seed = build_vcfg_seed(analyzed, &self.matched, vcfg, widen_nodes, &self.donor, key)
-            .map(Arc::new);
-        self.seeds
-            .lock()
-            .expect("summary seeds poisoned")
-            .entry(key)
-            .or_insert(seed)
-            .clone()
+        let decision = self.seeds.get_or_insert_with(key, || {
+            build_vcfg_seed(analyzed, &self.matched, vcfg, widen_nodes, &self.donor, key)
+                .map(Arc::new)
+        });
+        Option::clone(&decision)
     }
 }
 

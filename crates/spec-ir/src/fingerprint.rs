@@ -483,15 +483,14 @@ impl ProgramDiff {
         // edited pairs and unmatched blocks — is a change.
         let mut changed_blocks = Vec::new();
         let mut moved_blocks = Vec::new();
-        for j in 0..n_new {
-            match new_to_old[j] {
-                Some(i) if pair_identical(old, new, i, j, &old_to_new) => {
-                    if i != j {
-                        moved_blocks.push(new.blocks()[j].id);
-                    }
+        for (j, (block, matched)) in new.blocks().iter().zip(&new_to_old).enumerate() {
+            match *matched {
+                Some(i) if !pair_identical(old, new, i, j, &old_to_new) => {
+                    changed_blocks.push(block.id)
                 }
-                Some(_) => changed_blocks.push(new.blocks()[j].id),
-                None if j < min_len => changed_blocks.push(new.blocks()[j].id),
+                Some(i) if i != j => moved_blocks.push(block.id),
+                Some(_) => {}
+                None if j < min_len => changed_blocks.push(block.id),
                 None => {}
             }
         }
@@ -920,7 +919,9 @@ mod tests {
         // not flake, only cover.
         let mut state: u64 = 0x5eed_cafe_f00d_1234;
         let mut next = move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             (state >> 33) as usize
         };
         for _ in 0..64 {
@@ -936,12 +937,19 @@ mod tests {
                 diff.changed_blocks
             );
             let expected_moved: Vec<BlockId> = {
-                let mut moved: Vec<usize> = (0..n).filter(|&i| perm[i] != i).map(|i| perm[i]).collect();
+                let mut moved: Vec<usize> =
+                    (0..n).filter(|&i| perm[i] != i).map(|i| perm[i]).collect();
                 moved.sort_unstable();
-                moved.into_iter().map(|j| BlockId::from_raw(j as u32)).collect()
+                moved
+                    .into_iter()
+                    .map(|j| BlockId::from_raw(j as u32))
+                    .collect()
             };
             assert_eq!(diff.moved_blocks, expected_moved, "permutation {perm:?}");
-            assert_eq!(diff.entry_changed, perm[p.entry().index()] != p.entry().index());
+            assert_eq!(
+                diff.entry_changed,
+                perm[p.entry().index()] != p.entry().index()
+            );
             let identity = perm.iter().enumerate().all(|(i, &j)| i == j);
             assert_eq!(diff.is_identical(), identity, "permutation {perm:?}");
             assert_eq!(
