@@ -19,7 +19,7 @@
 //! * `SPEC_BENCH_SERVICE_ROUNDS`    — warm rounds per phase (default 4);
 //! * `SPEC_BENCH_GATEWAY_BACKENDS`  — fleet size (default 3);
 //! * `SPECAN_BIN`                   — path to a built `specan` (required;
-//!   the harness exits 0 with a note when unset, like `sharded_suite`).
+//!   the harness exits 0 with a note when unset).
 //!
 //! Pass `--json` to emit a machine-readable report (the CI bench-smoke and
 //! gateway-gate jobs upload it as an artifact, feeding the BENCH

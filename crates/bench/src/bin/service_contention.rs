@@ -21,7 +21,7 @@
 //! * `SPEC_BENCH_CONTENTION_CONNECTIONS` — concurrent connections (default 8);
 //! * `SPEC_BENCH_CONTENTION_WORKERS`     — contended worker count (default 4);
 //! * `SPECAN_BIN`                        — path to a built `specan` (required;
-//!   the harness exits 0 with a note when unset, like `sharded_suite`).
+//!   the harness exits 0 with a note when unset).
 //!
 //! Pass `--json` to emit a machine-readable report (the CI bench-smoke and
 //! contention-gate jobs upload it as an artifact, feeding the BENCH

@@ -17,7 +17,7 @@
 //! * `SPEC_BENCH_SERVICE_PROGRAMS`— distinct programs (default 6);
 //! * `SPEC_BENCH_SERVICE_ROUNDS` — warm rounds (default 5);
 //! * `SPECAN_BIN`                — path to a built `specan` (required;
-//!   the harness exits 0 with a note when unset, like `sharded_suite`).
+//!   the harness exits 0 with a note when unset).
 //!
 //! Pass `--json` to emit a machine-readable report (the CI bench-smoke
 //! job uploads it as an artifact, feeding the BENCH trajectory).

@@ -18,7 +18,7 @@
 //! * `SPEC_BENCH_SERVICE_ROUNDS`           — timed warm rounds (default 8);
 //! * `SPEC_BENCH_MAX_TELEMETRY_OVERHEAD`   — throughput ratio gate (default 1.05);
 //! * `SPECAN_BIN`                          — path to a built `specan` (required;
-//!   the harness exits 0 with a note when unset, like `sharded_suite`).
+//!   the harness exits 0 with a note when unset).
 //!
 //! Pass `--json` to emit a machine-readable report (the CI bench-smoke job
 //! uploads it as an artifact, feeding the BENCH trajectory).

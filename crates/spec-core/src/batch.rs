@@ -1,26 +1,27 @@
-//! Sharded batch scanning: analyse a *bundle* of programs under a labelled
-//! configuration panel, fanned out across processes, with mergeable reports.
+//! Batch scanning: analyse a *bundle* of programs under a labelled
+//! configuration panel, sliced across threads and machines, with mergeable
+//! reports.
 //!
 //! [`crate::session`] scales one program across threads of one process; this
 //! module scales a **panel** — programs × labelled configurations — across
-//! shards.  The unit of exchange between shards is a deterministic JSON
+//! slices.  The unit of exchange between machines is a deterministic JSON
 //! report ([`BatchReport`], timing stripped via
-//! [`Report::without_timing`]), so the merged result of a sharded run is
-//! **bit-identical** to a single-process in-order run of the same panel, no
-//! matter how the panel was split or which shard finished first.  That
-//! determinism is what makes the reports CI-friendly: they can be diffed,
-//! cached, asserted against and merged across machines.
+//! [`Report::without_timing`]), so the merged result of a sliced run is
+//! **bit-identical** to an in-order run of the same panel, no matter how
+//! the panel was split or which slice finished first.  That determinism is
+//! what makes the reports CI-friendly: they can be diffed, cached, asserted
+//! against and merged across machines.
 //!
 //! The pipeline:
 //!
 //! 1. [`discover_programs`] expands directories into a sorted, de-duplicated
 //!    list of `.spec` files — the *bundle*;
-//! 2. [`plan_shards`] splits the bundle into contiguous, near-even shards;
-//! 3. each shard is a serializable [`ShardSpec`] and runs either in-process
-//!    (scoped threads) or in a spawned worker subprocess
-//!    (`specan worker --shard-json <spec>`) via [`run_bundle`] — the worker
-//!    body itself is [`run_shard`], shared by both paths;
-//! 4. [`BatchReport::merge`] recombines the shard reports in bundle order
+//! 2. [`run_bundle_slice`] parses and fingerprints the bundle once, stamps
+//!    a slice of it ([`shard_slice`], the `--shard K/N` arithmetic) and
+//!    analyses the slice on scoped threads through one
+//!    [`CacheSession`], backed by an artifact store when one is given;
+//!    [`run_bundle`] is the whole-bundle, store-less case;
+//! 3. [`BatchReport::merge`] recombines the slice reports in bundle order
 //!    — verifying, via the [`BundleStamp`] every stamped report carries
 //!    (the [`panel_checksum`] over the full bundle's program fingerprints
 //!    plus the slice position), that the inputs are complete, compatible,
@@ -32,19 +33,15 @@
 //! # Example
 //!
 //! ```rust
-//! use spec_core::batch::{run_shard, PanelKind, PanelSpec, ShardSpec};
+//! use spec_core::batch::{run_bundle, ExecMode, PanelKind, PanelSpec};
 //!
 //! let dir = std::env::temp_dir().join("spec-batch-doc");
 //! std::fs::create_dir_all(&dir).unwrap();
 //! let path = dir.join("tiny.spec");
 //! std::fs::write(&path, "program tiny\nregion t 64\nblock main entry:\n  load t[0]\n  ret\n").unwrap();
 //!
-//! let spec = ShardSpec {
-//!     programs: vec![path],
-//!     panel: PanelSpec { kind: PanelKind::LeakCheck, cache_lines: 8 },
-//!     stamp: None,
-//! };
-//! let report = run_shard(&spec).unwrap();
+//! let panel = PanelSpec { kind: PanelKind::LeakCheck, cache_lines: 8 };
+//! let report = run_bundle(&[path], panel, 1, &ExecMode::InProcess).unwrap();
 //! assert_eq!(report.programs.len(), 1);
 //! assert!(!report.any_leak());
 //! // The JSON round-trips losslessly — the merge protocol depends on it.
@@ -53,15 +50,21 @@
 //! ```
 
 use std::fmt;
+use std::num::NonZeroUsize;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 use std::time::Duration;
 
 use spec_cache::CacheConfig;
 use spec_ir::fingerprint::{combined_fingerprint, program_fingerprint, Fingerprint};
 use spec_ir::text::parse_program;
+use spec_ir::Program;
 
+use crate::artifact::PreparedStore;
+use crate::cache_session::{CacheOutcome, CacheSession};
+use crate::incremental::SessionCache;
 use crate::json::{self, JsonValue};
 use crate::options::AnalysisOptions;
 use crate::session::{comparison_configs, Analyzer, MergeError, Report, ReportRow};
@@ -101,9 +104,9 @@ impl PanelKind {
 }
 
 /// The serializable description of a panel: which configuration family to
-/// run and on what cache geometry.  Carried inside every [`ShardSpec`] and
-/// [`BatchReport`] so shard outputs are self-describing and a merge can
-/// reject shards that ran different panels.
+/// run and on what cache geometry.  Carried inside every [`BatchReport`]
+/// so slice reports are self-describing and a merge can reject slices
+/// that ran different panels.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PanelSpec {
     /// The configuration family.
@@ -240,123 +243,14 @@ pub fn panel_checksum(
     combined_fingerprint(&panel.signature(), fingerprints)
 }
 
-/// Fingerprints every program of `files` (the full bundle, in bundle
-/// order) and returns the bundle's [`panel_checksum`].  This is the
-/// pre-sharding pass every bundle command runs, so each machine of a
-/// `--shard K/N` matrix stamps its slice against the same full-bundle
-/// checksum.  Parsing is cheap next to analysis (the incremental layer
-/// leans on the same fact).
-///
-/// # Errors
-///
-/// Returns [`BatchError::Io`]/[`BatchError::Parse`] for unreadable or
-/// invalid files and [`BatchError::DuplicateProgram`] when two files
-/// declare the same program name.
-pub fn stamp_bundle(files: &[PathBuf], panel: PanelSpec) -> Result<Fingerprint, BatchError> {
-    let mut names: Vec<String> = Vec::with_capacity(files.len());
-    let mut fingerprints = Vec::with_capacity(files.len());
-    for path in files {
-        let source = std::fs::read_to_string(path).map_err(|error| BatchError::Io {
-            path: path.clone(),
-            error,
-        })?;
-        let program = parse_program(&source).map_err(|err| BatchError::Parse {
-            path: path.clone(),
-            message: err.to_string(),
-        })?;
-        let name = program.name().to_string();
-        if names.contains(&name) {
-            return Err(BatchError::DuplicateProgram { name });
-        }
-        names.push(name);
-        fingerprints.push(program_fingerprint(&program));
-    }
-    Ok(panel_checksum(panel, fingerprints))
-}
-
-/// One shard of a bundle: the program files this worker analyses, the
-/// panel it runs them under, and (when the caller knows the full bundle)
-/// the stamp placing the shard inside it.  Serializes to the JSON handed
-/// to `specan worker --shard-json`.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ShardSpec {
-    /// The `.spec` files of this shard, in bundle order.
-    pub programs: Vec<PathBuf>,
-    /// The panel to run.
-    pub panel: PanelSpec,
-    /// The shard's place in the full bundle; `None` produces an unstamped
-    /// report (hand-rolled worker invocations, ad-hoc shards).
-    pub stamp: Option<BundleStamp>,
-}
-
-impl ShardSpec {
-    /// Serializes the shard for the worker command line.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"programs\": [");
-        for (i, path) in self.programs.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&json::string(&path.display().to_string()));
-        }
-        out.push_str("], \"panel\": ");
-        out.push_str(&self.panel.to_json());
-        if let Some(stamp) = self.stamp {
-            out.push_str(", \"bundle\": ");
-            out.push_str(&stamp.to_json());
-        }
-        out.push('}');
-        out
-    }
-
-    /// Parses a shard back from its JSON form.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BatchError::Json`] for syntactically invalid input and
-    /// [`BatchError::MalformedReport`] when required fields are missing.
-    pub fn from_json(input: &str) -> Result<Self, BatchError> {
-        let value = JsonValue::parse(input)?;
-        let programs = value
-            .get("programs")
-            .and_then(JsonValue::as_array)
-            .ok_or_else(|| BatchError::malformed("shard programs"))?
-            .iter()
-            .map(|p| {
-                p.as_str()
-                    .map(PathBuf::from)
-                    .ok_or_else(|| BatchError::malformed("shard program path"))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        let panel = PanelSpec::from_json(
-            value
-                .get("panel")
-                .ok_or_else(|| BatchError::malformed("shard panel"))?,
-        )?;
-        let stamp = value
-            .get("bundle")
-            .map(BundleStamp::from_json)
-            .transpose()?;
-        Ok(ShardSpec {
-            programs,
-            panel,
-            stamp,
-        })
-    }
-}
-
-/// How [`run_bundle`] executes its shards.
+/// How [`run_bundle`] executes its bundle: on scoped threads of this
+/// process, the one executor.  Runs that span machines slice the bundle
+/// with `--shard K/N` ([`shard_slice`]) and fan in through
+/// [`BatchReport::merge`].
 #[derive(Clone, Debug)]
 pub enum ExecMode {
-    /// Run every shard on a scoped thread of this process.
+    /// Run the bundle on scoped threads of this process.
     InProcess,
-    /// Spawn one `<worker_exe> worker --shard-json <spec>` subprocess per
-    /// shard and merge their stdout reports.  The executable is normally
-    /// `std::env::current_exe()` of the `specan` binary itself.
-    Subprocess {
-        /// Path of the worker executable.
-        worker_exe: PathBuf,
-    },
 }
 
 /// Errors of the batch layer.
@@ -378,8 +272,8 @@ pub enum BatchError {
     },
     /// No `.spec` files were found.
     NoPrograms,
-    /// A discovered path is not valid UTF-8, so it cannot travel through
-    /// the JSON worker protocol losslessly.
+    /// A discovered path is not valid UTF-8, so diagnostics and accounting
+    /// lines could not name it losslessly.
     NonUtf8Path {
         /// The offending path (lossily rendered).
         path: PathBuf,
@@ -392,16 +286,9 @@ pub enum BatchError {
     },
     /// The panel configuration is invalid.
     InvalidPanel(String),
-    /// A worker subprocess failed.
-    Worker {
-        /// The worker's exit code, if it exited at all.
-        code: Option<i32>,
-        /// The worker's stderr (trimmed).
-        stderr: String,
-    },
-    /// A report or shard document is not valid JSON.
+    /// A report is not valid JSON.
     Json(json::JsonError),
-    /// A report or shard document is valid JSON but not a valid document.
+    /// A report is valid JSON but not a valid document.
     MalformedReport(String),
     /// Shard reports could not be merged.
     Merge(MergeError),
@@ -441,21 +328,14 @@ impl fmt::Display for BatchError {
             BatchError::NoPrograms => write!(f, "no .spec programs found"),
             BatchError::NonUtf8Path { path } => write!(
                 f,
-                "`{}` is not valid UTF-8 (program paths must be UTF-8 to cross \
-                 the JSON worker protocol)",
+                "`{}` is not valid UTF-8 (program paths must be UTF-8 so \
+                 every report and diagnostic names them exactly)",
                 path.display()
             ),
             BatchError::DuplicateProgram { name } => {
                 write!(f, "program `{name}` appears more than once in the bundle")
             }
             BatchError::InvalidPanel(message) => write!(f, "invalid panel: {message}"),
-            BatchError::Worker { code, stderr } => {
-                write!(f, "worker failed (exit {code:?})")?;
-                if !stderr.is_empty() {
-                    write!(f, ": {stderr}")?;
-                }
-                Ok(())
-            }
             BatchError::Json(err) => write!(f, "{err}"),
             BatchError::MalformedReport(message) => write!(f, "malformed report: {message}"),
             BatchError::Merge(err) => write!(f, "{err}"),
@@ -529,10 +409,8 @@ pub fn discover_programs(paths: &[PathBuf]) -> Result<Vec<PathBuf>, BatchError> 
             if path.is_dir() {
                 walk(&path, out, visited)?;
             } else if path.extension().is_some_and(|ext| ext == "spec") {
-                // The path must survive the JSON worker protocol, which
-                // carries it as a UTF-8 string; reject it here, where the
-                // error can name the file, instead of failing opaquely
-                // inside a worker subprocess.
+                // Reject a path that cannot be printed exactly here,
+                // where the error can still name the directory entry.
                 if path.to_str().is_none() {
                     return Err(BatchError::NonUtf8Path { path });
                 }
@@ -571,9 +449,8 @@ pub fn discover_programs(paths: &[PathBuf]) -> Result<Vec<PathBuf>, BatchError> 
 /// The K-th (1-based) of exactly `n` contiguous, near-even slices of
 /// `n_items` (the first `n_items % n` slices hold one extra item).  Slices
 /// may be empty when `n > n_items` — a CI fleet is allowed more machines
-/// than programs.  This is the one source of truth for the split
-/// arithmetic: [`plan_shards`] and the CLI's `--shard K/N` both use it, so
-/// a per-machine slice always matches the corresponding process shard.
+/// than programs.  This is the split arithmetic of the CLI's `--shard
+/// K/N`, so every machine of a matrix computes the same slices.
 ///
 /// # Panics
 ///
@@ -586,39 +463,135 @@ pub fn shard_slice(n_items: usize, k: usize, n: usize) -> Range<usize> {
     start..start + base + usize::from(k - 1 < extra)
 }
 
-/// Splits `n_programs` into at most `jobs` contiguous, near-even shards
-/// ([`shard_slice`] does the arithmetic; empty shards are never planned).
-/// Contiguity is what lets [`BatchReport::merge`] restore the bundle order
-/// by concatenating shard reports in shard order.
-pub fn plan_shards(n_programs: usize, jobs: usize) -> Vec<Range<usize>> {
-    let shards = jobs.max(1).min(n_programs);
-    (1..=shards)
-        .map(|k| shard_slice(n_programs, k, shards))
-        .collect()
+/// What [`run_bundle_slice`] did, alongside its deterministic report.
+pub struct ScanOutcome {
+    /// The slice report, byte-identical to a store-less run over the same
+    /// files.
+    pub report: BatchReport,
+    /// Programs restored from the artifact store with their memoized
+    /// rounds.
+    pub reused: usize,
+    /// Programs prepared by this run: cold, or seeded from the block
+    /// summaries of the artifact last stored under their name.
+    pub analyzed: usize,
 }
 
-/// Runs one shard to completion in this process: loads every program,
-/// runs the panel via [`crate::session::PreparedProgram::run_suite`], and
-/// returns the deterministic (timing-stripped) shard report.  This is the
-/// body of `specan worker` and the per-thread work of in-process sharding —
-/// both execution paths share it, which is why their merged outputs agree.
-///
-/// The shard is the batch layer's unit of parallelism, so the suites inside
-/// it run on one thread: `jobs` shards never fan out into `jobs × configs`
-/// threads, and a worker fleet saturates its cores without oversubscribing
-/// them.  (To parallelise one program's configurations instead, use
-/// [`crate::session::PreparedProgram::run_suite`] directly.)
+/// Runs a whole bundle on `jobs` scoped threads and returns its stamped
+/// report, with no artifact store ([`run_bundle_slice`] over the whole
+/// bundle).
 ///
 /// # Errors
 ///
-/// Returns [`BatchError::Io`]/[`BatchError::Parse`] for unreadable or
-/// invalid program files, [`BatchError::InvalidPanel`] for a degenerate
-/// panel, and [`BatchError::DuplicateProgram`] when two files of the shard
-/// declare the same program name.
-pub fn run_shard(spec: &ShardSpec) -> Result<BatchReport, BatchError> {
-    let configs = spec.panel.configs()?;
-    let mut programs: Vec<ProgramVerdict> = Vec::with_capacity(spec.programs.len());
-    for path in &spec.programs {
+/// Everything [`run_bundle_slice`] raises.
+pub fn run_bundle(
+    programs: &[PathBuf],
+    panel: PanelSpec,
+    jobs: usize,
+    mode: &ExecMode,
+) -> Result<BatchReport, BatchError> {
+    let ExecMode::InProcess = mode;
+    Ok(run_bundle_slice(programs, 0..programs.len(), panel, jobs, None)?.report)
+}
+
+/// Runs the `slice` of a bundle and returns the **slice report**, stamped
+/// against the full bundle: its [`BundleStamp`] carries the checksum over
+/// *all* of `bundle`, so per-machine artifacts of a `--shard K/N` matrix
+/// recombine, and verify, through [`BatchReport::merge`].  An empty slice
+/// is legal (a CI fleet may have more machines than programs).
+///
+/// Every file is read, parsed and fingerprinted once.  The programs the
+/// stamp folds over are the programs analysed, so a file saved mid-run
+/// can never pair a stamp over its old content with a verdict of its new
+/// content.  The slice's programs are then resolved through one
+/// [`CacheSession`] on `jobs` scoped threads, each program's panel on one
+/// thread (so `jobs` never fans out into `jobs × configs` threads).
+/// With a `store`, an unchanged program loads with its memoized rounds,
+/// and an edited one is seeded from the block summaries of the artifact
+/// last stored under its name; each program is persisted as soon as its
+/// panel has filled its rounds.  Loads are name-exact, so a rename
+/// prepares afresh.
+///
+/// The report is **bit-identical** however the bundle is sliced and
+/// threaded and whatever the store held: verdicts are timing-stripped, and
+/// restored and seeded sessions answer exactly like cold ones.  Store
+/// failures are never errors; they cost warmth only.
+///
+/// # Errors
+///
+/// [`BatchError::NoPrograms`] for an empty *bundle* (not slice),
+/// [`BatchError::Io`]/[`BatchError::Parse`] for unreadable or invalid
+/// files, [`BatchError::DuplicateProgram`] when two files declare the same
+/// program name and [`BatchError::InvalidPanel`] for a degenerate panel.
+pub fn run_bundle_slice(
+    bundle: &[PathBuf],
+    slice: Range<usize>,
+    panel: PanelSpec,
+    jobs: usize,
+    store: Option<PreparedStore>,
+) -> Result<ScanOutcome, BatchError> {
+    if bundle.is_empty() {
+        return Err(BatchError::NoPrograms);
+    }
+    let programs = parse_bundle(bundle)?;
+    let configs = panel.configs()?;
+    let stamp = BundleStamp {
+        checksum: panel_checksum(panel, programs.iter().map(|(_, fp)| *fp)),
+        total: bundle.len(),
+        start: slice.start,
+    };
+    let programs = &programs[slice];
+    // Each program is acquired once, so nothing needs to stay resident: a
+    // zero budget evicts every session at install, and the worker that ran
+    // it persists it and lets it go — one program in memory per thread.
+    let mut cache =
+        SessionCache::with_analyzer(Analyzer::new().max_suite_threads(NonZeroUsize::MIN))
+            .max_session_bytes(0);
+    if let Some(store) = store {
+        cache = cache.artifact_store(store);
+    }
+    let sessions = CacheSession::new(cache);
+    let slots: Vec<OnceLock<(ProgramVerdict, bool)>> =
+        programs.iter().map(|_| OnceLock::new()).collect();
+    // Threads take the next program as they free up, so one costly solve
+    // never queues cheap loads behind it.  Scoped threads even for a
+    // single job: the session front's thread-local L0 tiers end with them.
+    let next = AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        for _ in 0..jobs.clamp(1, programs.len().max(1)) {
+            scope.spawn(|| loop {
+                let index = next.fetch_add(1, Ordering::Relaxed);
+                let Some((program, _)) = programs.get(index) else {
+                    break;
+                };
+                let _ = slots[index].set(verdict_of(&sessions, program, &configs));
+            });
+        }
+    });
+    let mut reused = 0;
+    let verdicts: Vec<ProgramVerdict> = slots
+        .into_iter()
+        .map(|slot| {
+            let (verdict, restored) = slot.into_inner().expect("every program was run");
+            reused += usize::from(restored);
+            verdict
+        })
+        .collect();
+    Ok(ScanOutcome {
+        analyzed: verdicts.len() - reused,
+        reused,
+        report: BatchReport {
+            panel,
+            stamp: Some(stamp),
+            programs: verdicts,
+        },
+    })
+}
+
+/// Reads, parses and fingerprints every file of the bundle, in bundle
+/// order, rejecting a program name declared twice.
+fn parse_bundle(files: &[PathBuf]) -> Result<Vec<(Program, Fingerprint)>, BatchError> {
+    let mut programs: Vec<(Program, Fingerprint)> = Vec::with_capacity(files.len());
+    for path in files {
         let source = std::fs::read_to_string(path).map_err(|error| BatchError::Io {
             path: path.clone(),
             error,
@@ -627,190 +600,43 @@ pub fn run_shard(spec: &ShardSpec) -> Result<BatchReport, BatchError> {
             path: path.clone(),
             message: err.to_string(),
         })?;
-        let prepared = Analyzer::new()
-            .max_suite_threads(std::num::NonZeroUsize::MIN)
-            .prepare(&program);
-        let report = prepared.run_suite(&configs).report().without_timing();
-        if programs.iter().any(|p| p.report.program == report.program) {
+        if programs
+            .iter()
+            .any(|(seen, _)| seen.name() == program.name())
+        {
             return Err(BatchError::DuplicateProgram {
-                name: report.program,
+                name: program.name().to_string(),
             });
         }
-        programs.push(ProgramVerdict::from_report(report, prepared.fingerprint()));
+        let fingerprint = program_fingerprint(&program);
+        programs.push((program, fingerprint));
     }
-    Ok(BatchReport {
-        panel: spec.panel,
-        stamp: spec.stamp,
-        programs,
-    })
+    Ok(programs)
 }
 
-/// Runs a whole bundle sharded `jobs` ways and returns the merged report.
-///
-/// `programs` is the bundle in panel order (normally the output of
-/// [`discover_programs`]); it is split with [`plan_shards`] and executed
-/// per `mode` — scoped threads in-process, or one spawned worker
-/// subprocess per shard.  Subprocess workers are all spawned before any is
-/// awaited, so at most `jobs` processes run concurrently and waiting in
-/// shard order costs no parallelism.
-///
-/// The merged report is bit-identical to `run_shard` over the undivided
-/// bundle — sharding is an execution detail, not a semantic one.
-///
-/// # Errors
-///
-/// Propagates shard failures ([`run_shard`]'s errors, or
-/// [`BatchError::Worker`] when a subprocess dies) and merge conflicts.
-pub fn run_bundle(
-    programs: &[PathBuf],
-    panel: PanelSpec,
-    jobs: usize,
-    mode: &ExecMode,
-) -> Result<BatchReport, BatchError> {
-    run_bundle_slice(programs, 0..programs.len(), panel, jobs, mode)
-}
-
-/// Runs the `slice` of a bundle sharded `jobs` ways and returns the merged
-/// **slice report**, stamped against the full bundle: its [`BundleStamp`]
-/// carries the checksum over *all* of `bundle`, so per-machine artifacts of
-/// a `--shard K/N` matrix recombine — and verify — through
-/// [`BatchReport::merge`].  An empty slice is legal (a CI fleet may have
-/// more machines than programs) and yields a stamped, program-free report.
-///
-/// # Errors
-///
-/// Everything [`run_bundle`] raises; [`BatchError::NoPrograms`] refers to
-/// an empty *bundle*, not an empty slice.
-pub fn run_bundle_slice(
-    bundle: &[PathBuf],
-    slice: Range<usize>,
-    panel: PanelSpec,
-    jobs: usize,
-    mode: &ExecMode,
-) -> Result<BatchReport, BatchError> {
-    if bundle.is_empty() {
-        return Err(BatchError::NoPrograms);
-    }
-    // The full-bundle checksum every slice stamps itself against.
-    let checksum = stamp_bundle(bundle, panel)?;
-    let stamp_at = |start: usize| BundleStamp {
-        checksum,
-        total: bundle.len(),
-        start,
+/// One program's verdict, and whether a cache tier restored its session.
+/// Scan verdicts carry no region or block names, so the acquire is
+/// structural.
+fn verdict_of(
+    sessions: &CacheSession,
+    program: &Program,
+    configs: &[(String, AnalysisOptions)],
+) -> (ProgramVerdict, bool) {
+    let (prepared, restored) = match sessions.acquire_structural(program) {
+        CacheOutcome::L0Hit(prepared)
+        | CacheOutcome::WarmHit(prepared)
+        | CacheOutcome::StoreHit(prepared) => (prepared, true),
+        CacheOutcome::NeedsPrepare(guard) => (guard.prepare(program), false),
     };
-    let files = &bundle[slice.clone()];
-    if files.is_empty() {
-        return Ok(BatchReport {
-            panel,
-            stamp: Some(stamp_at(slice.start)),
-            programs: Vec::new(),
-        });
+    let grown_from = prepared.growth_stamp();
+    let report = prepared.run_suite(configs).report().without_timing();
+    if prepared.growth_stamp() != grown_from {
+        sessions.persist(&prepared);
     }
-    let shards: Vec<ShardSpec> = plan_shards(files.len(), jobs)
-        .into_iter()
-        .map(|range| ShardSpec {
-            programs: files[range.clone()].to_vec(),
-            panel,
-            stamp: Some(stamp_at(slice.start + range.start)),
-        })
-        .collect();
-    let reports = match mode {
-        ExecMode::InProcess => run_shards_in_process(&shards)?,
-        ExecMode::Subprocess { worker_exe } => run_shards_subprocess(&shards, worker_exe)?,
-    };
-    BatchReport::merge_slices(reports)
-}
-
-fn run_shards_in_process(shards: &[ShardSpec]) -> Result<Vec<BatchReport>, BatchError> {
-    if let [only] = shards {
-        return Ok(vec![run_shard(only)?]);
-    }
-    let mut slots: Vec<Option<Result<BatchReport, BatchError>>> =
-        shards.iter().map(|_| None).collect();
-    std::thread::scope(|scope| {
-        for (shard, slot) in shards.iter().zip(slots.iter_mut()) {
-            scope.spawn(move || *slot = Some(run_shard(shard)));
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| slot.expect("every shard ran"))
-        .collect()
-}
-
-fn run_shards_subprocess(
-    shards: &[ShardSpec],
-    worker_exe: &Path,
-) -> Result<Vec<BatchReport>, BatchError> {
-    // The shard spec travels over the worker's stdin (`--shard-json -`):
-    // a monorepo shard can list thousands of paths, which would overflow
-    // the platform's per-argument size limit as an argv string.
-    let spawn = |shard: &ShardSpec| -> Result<Child, BatchError> {
-        let io_err = |error| BatchError::Io {
-            path: worker_exe.to_path_buf(),
-            error,
-        };
-        let mut child = Command::new(worker_exe)
-            .arg("worker")
-            .arg("--shard-json")
-            .arg("-")
-            .stdin(Stdio::piped())
-            .stdout(Stdio::piped())
-            .stderr(Stdio::piped())
-            .spawn()
-            .map_err(io_err)?;
-        // Write the spec and close stdin so the worker sees EOF.  The
-        // worker's first act is draining stdin, so this cannot deadlock
-        // against its (not yet produced) output.
-        use std::io::Write as _;
-        let mut stdin = child.stdin.take().expect("stdin was piped");
-        if let Err(error) = stdin.write_all(shard.to_json().as_bytes()) {
-            // A broken pipe means the worker died before draining stdin
-            // (wrong binary, early usage error).  Reap it — no zombie —
-            // and surface its stderr, which explains the death better
-            // than the pipe error does.
-            drop(stdin);
-            return match child.wait_with_output() {
-                Ok(output) if !output.status.success() => Err(BatchError::Worker {
-                    code: output.status.code(),
-                    stderr: String::from_utf8_lossy(&output.stderr).trim().to_string(),
-                }),
-                _ => Err(io_err(error)),
-            };
-        }
-        drop(stdin);
-        Ok(child)
-    };
-    // Spawn everything up front; collect in shard order afterwards.
-    let children: Vec<Result<Child, BatchError>> = shards.iter().map(spawn).collect();
-    let mut reports = Vec::with_capacity(shards.len());
-    let mut first_error = None;
-    for child in children {
-        let outcome = child.and_then(|child| {
-            let output = child.wait_with_output().map_err(|error| BatchError::Io {
-                path: worker_exe.to_path_buf(),
-                error,
-            })?;
-            if !output.status.success() {
-                return Err(BatchError::Worker {
-                    code: output.status.code(),
-                    stderr: String::from_utf8_lossy(&output.stderr).trim().to_string(),
-                });
-            }
-            BatchReport::from_json(&String::from_utf8_lossy(&output.stdout))
-        });
-        // Even on error, keep draining the remaining children so none is
-        // left running (wait_with_output reaps each one).
-        match outcome {
-            Ok(report) => reports.push(report),
-            Err(err) if first_error.is_none() => first_error = Some(err),
-            Err(_) => {}
-        }
-    }
-    match first_error {
-        Some(err) => Err(err),
-        None => Ok(reports),
-    }
+    (
+        ProgramVerdict::from_report(report, prepared.fingerprint()),
+        restored,
+    )
 }
 
 /// One program's slice of a [`BatchReport`]: its per-configuration report,
@@ -858,7 +684,7 @@ pub struct BatchReport {
     /// The panel every program was analysed under.
     pub panel: PanelSpec,
     /// The slice's place in the full bundle; `None` for unstamped reports
-    /// (hand-rolled worker shards), which merge without verification.
+    /// (hand-built reports), which merge without verification.
     pub stamp: Option<BundleStamp>,
     /// Per-program results, in panel (bundle) order.
     pub programs: Vec<ProgramVerdict>,
@@ -875,9 +701,15 @@ impl BatchReport {
     ///
     /// # Errors
     ///
-    /// Everything [`BatchReport::merge_slices`] raises, plus
+    /// Returns [`BatchError::Merge`] for an empty input,
+    /// [`BatchError::PanelMismatch`]/[`BatchError::StampMismatch`] for
+    /// incompatible shards, [`BatchError::OverlappingShards`] when two
+    /// slices cover the same bundle position,
     /// [`BatchError::IncompleteBundle`] when the (stamped) slices do not
-    /// cover the whole bundle.
+    /// cover the whole bundle, [`BatchError::ChecksumMismatch`] when the
+    /// merge does not reproduce the claimed checksum, and
+    /// [`BatchError::DuplicateProgram`] / duplicate-label
+    /// [`BatchError::Merge`] for ambiguous contents.
     pub fn merge(shards: impl IntoIterator<Item = BatchReport>) -> Result<Self, BatchError> {
         let merged = Self::merge_slices(shards)?;
         if let Some(stamp) = merged.stamp {
@@ -891,29 +723,16 @@ impl BatchReport {
         Ok(merged)
     }
 
-    /// Combines shard reports into one contiguous slice report — the
-    /// relaxed fan-in [`run_bundle_slice`] uses for one machine's share of
-    /// a `--shard K/N` matrix, where full coverage is someone else's job.
+    /// Combines shard reports into one contiguous slice report, the
+    /// verification half of [`BatchReport::merge`].
     ///
     /// Stamped inputs are sorted by their bundle position and verified:
     /// same panel, same checksum and total, contiguous non-overlapping
     /// coverage; when the result happens to cover the whole bundle, the
     /// checksum is recomputed from the merged program fingerprints and
     /// compared against the claim.  Unstamped inputs are concatenated in
-    /// input order, with only the panel and duplicate checks of old.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BatchError::Merge`] for an empty input,
-    /// [`BatchError::PanelMismatch`]/[`BatchError::StampMismatch`] for
-    /// incompatible shards, [`BatchError::OverlappingShards`] when two
-    /// slices cover the same bundle position, a gap inside the supplied
-    /// slices as [`BatchError::IncompleteBundle`],
-    /// [`BatchError::ChecksumMismatch`] when a complete merge does not
-    /// reproduce the claimed checksum, and
-    /// [`BatchError::DuplicateProgram`] / duplicate-label
-    /// [`BatchError::Merge`] for ambiguous contents.
-    pub fn merge_slices(shards: impl IntoIterator<Item = BatchReport>) -> Result<Self, BatchError> {
+    /// input order, with only the panel and duplicate checks.
+    fn merge_slices(shards: impl IntoIterator<Item = BatchReport>) -> Result<Self, BatchError> {
         let mut shards: Vec<BatchReport> = shards.into_iter().collect();
         let first = shards.first().ok_or(BatchError::Merge(MergeError::Empty))?;
         let panel = first.panel;
@@ -1090,7 +909,7 @@ impl BatchReport {
     }
 
     /// Parses a report back from [`BatchReport::to_json`] output (e.g. a
-    /// worker subprocess's stdout).
+    /// `--shard K/N` artifact handed to `specan merge`).
     ///
     /// # Errors
     ///
@@ -1280,23 +1099,32 @@ mod tests {
         }
     }
 
+    /// The report of `files` without a bundle stamp, as a hand-built
+    /// report carries none.
+    fn unstamped(files: &[PathBuf]) -> BatchReport {
+        let mut report = run_bundle(files, leak_panel(), 1, &ExecMode::InProcess).unwrap();
+        report.stamp = None;
+        report
+    }
+
     #[test]
-    fn plan_shards_is_contiguous_near_even_and_complete() {
-        for n in 0..20 {
-            for jobs in 1..8 {
-                let ranges = plan_shards(n, jobs);
-                assert!(ranges.len() <= jobs.min(n.max(1)));
+    fn shard_slices_are_contiguous_near_even_and_complete() {
+        for n_items in 0..20 {
+            for n in 1..8 {
                 let mut covered = 0;
                 let mut sizes = Vec::new();
-                for range in &ranges {
-                    assert_eq!(range.start, covered, "shards must be contiguous");
+                for k in 1..=n {
+                    let range = shard_slice(n_items, k, n);
+                    assert_eq!(range.start, covered, "slices must be contiguous");
                     covered = range.end;
                     sizes.push(range.len());
                 }
-                assert_eq!(covered, n, "every program must land in a shard");
-                if let (Some(max), Some(min)) = (sizes.iter().max(), sizes.iter().min()) {
-                    assert!(max - min <= 1, "shards must be near-even: {sizes:?}");
-                }
+                assert_eq!(covered, n_items, "every program must land in a slice");
+                let (max, min) = (sizes.iter().max(), sizes.iter().min());
+                assert!(
+                    max.unwrap() - min.unwrap() <= 1,
+                    "slices must be near-even: {sizes:?}"
+                );
             }
         }
     }
@@ -1316,34 +1144,6 @@ mod tests {
             covered = range.end;
         }
         assert_eq!(covered, 3);
-    }
-
-    #[test]
-    fn shard_spec_round_trips_through_json() {
-        let spec = ShardSpec {
-            programs: vec![
-                PathBuf::from("a \"quoted\" path.spec"),
-                PathBuf::from("dir/b.spec"),
-            ],
-            panel: PanelSpec {
-                kind: PanelKind::Comparison,
-                cache_lines: 128,
-            },
-            stamp: None,
-        };
-        assert_eq!(ShardSpec::from_json(&spec.to_json()).unwrap(), spec);
-        // A stamped shard round-trips its bundle placement too.
-        let stamped = ShardSpec {
-            stamp: Some(BundleStamp {
-                checksum: Fingerprint(0xdead_beef),
-                total: 7,
-                start: 3,
-            }),
-            ..spec
-        };
-        assert_eq!(ShardSpec::from_json(&stamped.to_json()).unwrap(), stamped);
-        assert!(ShardSpec::from_json("{\"programs\": 3}").is_err());
-        assert!(ShardSpec::from_json("not json").is_err());
     }
 
     #[test]
@@ -1383,7 +1183,7 @@ mod tests {
             "program bad\nregion t 64\nblock main entry:\n  load t[0]\n  ret\n",
         )
         .unwrap();
-        // The lossy path would break the worker protocol; fail up front.
+        // A lossily printed path could not be named exactly; fail up front.
         assert!(matches!(
             discover_programs(std::slice::from_ref(&scratch.dir)),
             Err(BatchError::NonUtf8Path { .. })
@@ -1407,13 +1207,8 @@ mod tests {
     #[test]
     fn merge_keeps_shard_order_and_rejects_duplicates() {
         let scratch = Scratch::new(&[("a", "alpha"), ("b", "beta"), ("c", "gamma")]);
-        let shard = |range: std::ops::Range<usize>| ShardSpec {
-            programs: scratch.files[range].to_vec(),
-            panel: leak_panel(),
-            stamp: None,
-        };
-        let first = run_shard(&shard(0..2)).unwrap();
-        let second = run_shard(&shard(2..3)).unwrap();
+        let first = unstamped(&scratch.files[0..2]);
+        let second = unstamped(&scratch.files[2..3]);
         let merged = BatchReport::merge([first.clone(), second.clone()]).unwrap();
         let names: Vec<&str> = merged
             .programs
@@ -1450,11 +1245,7 @@ mod tests {
     #[test]
     fn duplicate_program_names_within_a_shard_are_rejected() {
         let scratch = Scratch::new(&[("one", "same"), ("two", "same")]);
-        let result = run_shard(&ShardSpec {
-            programs: scratch.files.clone(),
-            panel: leak_panel(),
-            stamp: None,
-        });
+        let result = run_bundle(&scratch.files, leak_panel(), 1, &ExecMode::InProcess);
         assert!(matches!(
             result,
             Err(BatchError::DuplicateProgram { name }) if name == "same"
@@ -1464,15 +1255,11 @@ mod tests {
     #[test]
     fn batch_report_json_round_trips() {
         let scratch = Scratch::new(&[("x", "with \"quotes\""), ("y", "plain")]);
-        let report = run_shard(&ShardSpec {
-            programs: scratch.files.clone(),
-            panel: PanelSpec {
-                kind: PanelKind::Comparison,
-                cache_lines: 8,
-            },
-            stamp: None,
-        })
-        .unwrap();
+        let panel = PanelSpec {
+            kind: PanelKind::Comparison,
+            cache_lines: 8,
+        };
+        let report = run_bundle(&scratch.files, panel, 1, &ExecMode::InProcess).unwrap();
         let json = report.to_json();
         let parsed = BatchReport::from_json(&json).unwrap();
         assert_eq!(parsed, report);
@@ -1486,7 +1273,7 @@ mod tests {
         // A synthetic row with pairwise-distinct values pins each field of
         // the serialize/parse pair: a field dropped from (or miswired in)
         // BatchReport::to_json/parse_row breaks this equality even though
-        // both sharded execution paths would still agree with each other.
+        // a slice and its merge would still agree with each other.
         let row = ReportRow {
             label: "pin".to_string(),
             accesses: 1,
@@ -1546,7 +1333,9 @@ mod tests {
         let stamp = full.stamp.expect("bundle runs are stamped");
         assert_eq!((stamp.start, stamp.total), (0, 3));
         let slice = |range: std::ops::Range<usize>| {
-            run_bundle_slice(&scratch.files, range, leak_panel(), 1, &ExecMode::InProcess).unwrap()
+            run_bundle_slice(&scratch.files, range, leak_panel(), 1, None)
+                .unwrap()
+                .report
         };
         let first = slice(0..2);
         let second = slice(2..3);
@@ -1581,7 +1370,9 @@ mod tests {
     fn merge_rejects_overlapping_incomplete_and_mismatched_slices() {
         let scratch = Scratch::new(&[("a", "alpha"), ("b", "beta"), ("c", "gamma")]);
         let slice = |range: std::ops::Range<usize>| {
-            run_bundle_slice(&scratch.files, range, leak_panel(), 1, &ExecMode::InProcess).unwrap()
+            run_bundle_slice(&scratch.files, range, leak_panel(), 1, None)
+                .unwrap()
+                .report
         };
         let first = slice(0..2);
         let second = slice(2..3);
@@ -1616,8 +1407,9 @@ mod tests {
             "program gamma\nregion t 64\nblock main entry:\n  load t[0]\n  load t[0]\n  ret\n",
         )
         .unwrap();
-        let foreign =
-            run_bundle_slice(&other.files, 2..3, leak_panel(), 1, &ExecMode::InProcess).unwrap();
+        let foreign = run_bundle_slice(&other.files, 2..3, leak_panel(), 1, None)
+            .unwrap()
+            .report;
         assert!(matches!(
             BatchReport::merge([first.clone(), foreign]),
             Err(BatchError::StampMismatch)
@@ -1684,19 +1476,12 @@ mod tests {
             cache_lines: 0,
         };
         assert!(matches!(panel.configs(), Err(BatchError::InvalidPanel(_))));
-        let missing = ShardSpec {
-            programs: vec![PathBuf::from("/nonexistent/x.spec")],
-            panel: leak_panel(),
-            stamp: None,
-        };
-        assert!(matches!(run_shard(&missing), Err(BatchError::Io { .. })));
+        let run = |files: &[PathBuf]| run_bundle(files, leak_panel(), 1, &ExecMode::InProcess);
+        let missing = [PathBuf::from("/nonexistent/x.spec")];
+        assert!(matches!(run(&missing), Err(BatchError::Io { .. })));
         let scratch = Scratch::new(&[("ok", "ok")]);
         std::fs::write(scratch.dir.join("bad.spec"), "this is not a program").unwrap();
-        let bad = ShardSpec {
-            programs: vec![scratch.dir.join("bad.spec")],
-            panel: leak_panel(),
-            stamp: None,
-        };
-        assert!(matches!(run_shard(&bad), Err(BatchError::Parse { .. })));
+        let bad = [scratch.dir.join("bad.spec")];
+        assert!(matches!(run(&bad), Err(BatchError::Parse { .. })));
     }
 }

@@ -60,6 +60,7 @@ use spec_ir::fingerprint::{program_fingerprint, Fingerprint};
 use spec_ir::Program;
 use spec_telemetry::{Histogram, Registry};
 
+use crate::artifact::PreparedStore;
 use crate::incremental::{SessionCache, SessionStats, SessionTier};
 use crate::session::{Analyzer, CacheStats, PreparedProgram};
 
@@ -262,8 +263,9 @@ struct SessionFront {
     /// without the lock.
     generation: Arc<AtomicU64>,
     /// Builder-time facts of the wrapped cache, cached here so the
-    /// accounting fast path never locks.
-    has_store: bool,
+    /// accounting fast path never locks.  The store handle also lets
+    /// [`CacheSession::persist`] write outside the lock.
+    store: Option<PreparedStore>,
     budget: Option<u64>,
     /// Per-tier acquire latency histograms, installed once by telemetry-
     /// carrying holders (the service); `get()` on the hot path is one
@@ -292,7 +294,7 @@ impl CacheSession {
     pub fn new(cache: SessionCache) -> Self {
         let analyzer = cache.analyzer().clone();
         let generation = cache.generation_handle();
-        let has_store = cache.has_store();
+        let store = cache.store().cloned();
         let budget = cache.budget();
         Self {
             inner: Arc::new(SessionFront {
@@ -300,7 +302,7 @@ impl CacheSession {
                 cache: Mutex::new(cache),
                 analyzer,
                 generation,
-                has_store,
+                store,
                 budget,
                 telemetry: OnceLock::new(),
                 acquires: AtomicU64::new(0),
@@ -434,6 +436,11 @@ impl CacheSession {
     /// already ahead of the stamp skips the seed — the handle may predate
     /// an invalidation it never saw; a tier behind it is cleared first.
     fn l0_seed(&self, fingerprint: Fingerprint, prepared: Arc<PreparedProgram>, stamped: u64) {
+        // A zero budget keeps nothing resident, so every seed would pin a
+        // handle the install already evicted until the next bump.
+        if self.inner.budget == Some(0) {
+            return;
+        }
         L0_TIERS.with(|tiers| {
             let mut tiers = tiers.borrow_mut();
             let tier = tiers.entry(self.inner.id).or_insert_with(|| L0Tier {
@@ -489,11 +496,26 @@ impl CacheSession {
     /// resident entry changed since the last in-budget pass.
     pub fn checkpoint(&self) -> SessionStats {
         let mut cache = relock(&self.inner.cache);
-        if self.inner.has_store {
+        if self.inner.store.is_some() {
             cache.persist_dirty();
         }
         cache.enforce_budget();
         self.overlay(cache.stats())
+    }
+
+    /// Writes `prepared`, a handle this caller ran, to the store tier when
+    /// the byte budget evicted its entry before the run grew it; resident
+    /// entries wait for [`CacheSession::checkpoint`].  One-shot holders
+    /// call it after a run that grew the handle, so a budget smaller than
+    /// one program still leaves the filled rounds on disk.  A no-op
+    /// without a store.
+    pub fn persist(&self, prepared: &Arc<PreparedProgram>) {
+        let Some(store) = &self.inner.store else {
+            return;
+        };
+        if !relock(&self.inner.cache).is_resident(prepared) {
+            let _ = store.save(prepared);
+        }
     }
 
     /// The wrapped cache's lifetime counters with the front's L0/L1 tier
@@ -545,7 +567,7 @@ impl CacheSession {
 
     /// `true` iff an on-disk artifact tier is configured.
     pub fn has_store(&self) -> bool {
-        self.inner.has_store
+        self.inner.store.is_some()
     }
 
     /// The summed byte estimate of every L1-resident entry, measured now.

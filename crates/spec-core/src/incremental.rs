@@ -7,34 +7,29 @@
 //! the code evolves, and before this module every edit threw the whole
 //! session away.
 //!
-//! Three layers, all built on the structural fingerprints of
-//! [`spec_ir::fingerprint`]:
+//! [`SessionCache`] is built on the structural fingerprints of
+//! [`spec_ir::fingerprint`].  It holds one
+//! [`PreparedProgram`] per program name; [`SessionCache::update`]
+//! fingerprints the newly parsed program and either **rebinds** the
+//! previous session wholesale (fingerprint unchanged: every memoized
+//! unroll variant, address map, VCFG and fixpoint round survives) or
+//! re-prepares it, reporting *where* the program changed as a
+//! [`ProgramDiff`] and rebinding the address maps whenever the edit left
+//! the region table untouched (the memory layout is a pure function of the
+//! regions).  In a multi-program session, editing one program leaves every
+//! other program's artifacts bound — the [`SessionStats`] counters prove
+//! it.  A long-lived holder bounds the session with
+//! [`SessionCache::max_session_bytes`]: resident entries are byte-accounted
+//! through [`spec_ir::heap::HeapSize`] and whole programs are evicted
+//! least-recently-used first, which trades re-preparation for memory but
+//! never changes a result.
 //!
-//! * [`SessionCache`] — the in-memory core.  It holds one
-//!   [`PreparedProgram`] per program name; [`SessionCache::update`]
-//!   fingerprints the newly parsed program and either **rebinds** the
-//!   previous session wholesale (fingerprint unchanged: every memoized
-//!   unroll variant, address map, VCFG and fixpoint round survives) or
-//!   re-prepares it, reporting *where* the program changed as a
-//!   [`ProgramDiff`] and rebinding the address maps whenever the edit left
-//!   the region table untouched (the memory layout is a pure function of
-//!   the regions).  In a multi-program session, editing one program leaves
-//!   every other program's artifacts bound — the [`SessionStats`] counters
-//!   prove it.  A long-lived holder bounds the session with
-//!   [`SessionCache::max_session_bytes`]: resident entries are byte-
-//!   accounted through [`spec_ir::heap::HeapSize`] and whole programs are
-//!   evicted least-recently-used first, which trades re-preparation for
-//!   memory but never changes a result.
-//! * [`ScanSession`] + [`scan_bundle_incremental`] — cross-process
-//!   persistence for `specan scan --session-dir`.  Fingerprints and the
-//!   previous (deterministic, timing-free) [`BatchReport`] are stored on
-//!   disk; the next scan re-analyses only the programs whose fingerprints
-//!   changed and splices the stored verdicts of the untouched ones back
-//!   into bundle order.
-//! * [`AnalyzeSession`] — output replay for `specan analyze --incremental`,
-//!   keyed on the canonical rendering of the program (which, unlike the
-//!   structural fingerprint, is sensitive to names — `analyze` output
-//!   embeds region and block names) plus the configuration signature.
+//! Across processes, the one persistent form is the artifact store
+//! ([`SessionCache::artifact_store`]): misses load prepared sessions, with
+//! their memoized rounds, by fingerprint, and an edited program is seeded
+//! from the artifact last stored under its name.  `specan serve`, `specan
+//! analyze --incremental` and `specan scan --session-dir` all open their
+//! directory this way (the latter through [`crate::batch::run_bundle_slice`]).
 //!
 //! # The bit-identical guarantee
 //!
@@ -44,7 +39,7 @@
 //! stripped: rebinding reuses values that are pure functions of the
 //! (structurally unchanged) program, and recomputation shares the one
 //! deterministic solver with the fresh path.  The `incremental_equivalence`
-//! property suite and the CI `incremental-gate` job hold this line.
+//! property suite and the `cli_incremental` tests hold this line.
 //!
 //! [`Report::without_timing`]: crate::session::Report::without_timing
 //!
@@ -79,21 +74,14 @@
 //! ```
 
 use std::collections::HashMap;
-use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use spec_ir::fingerprint::{program_fingerprint, regions_fingerprint, Fingerprint, ProgramDiff};
 use spec_ir::heap::HeapSize;
-use spec_ir::text::parse_program;
 use spec_ir::Program;
 
 use crate::artifact::PreparedStore;
-use crate::batch::{
-    panel_checksum, BatchError, BatchReport, BundleStamp, PanelSpec, ProgramVerdict,
-};
-use crate::cache_session::{CacheOutcome, CacheSession};
-use crate::json::{self, JsonValue};
 use crate::session::{Analyzer, CacheStats, PreparedProgram};
 
 /// Sentinel for "never measured/persisted at any stamp".
@@ -334,11 +322,6 @@ impl SessionCache {
     pub fn artifact_store(mut self, store: PreparedStore) -> Self {
         self.store = Some(store);
         self
-    }
-
-    /// `true` iff an on-disk artifact tier is configured.
-    pub fn has_store(&self) -> bool {
-        self.store.is_some()
     }
 
     /// The attached artifact store, if any.
@@ -585,6 +568,14 @@ impl SessionCache {
             }
         }
         wrote
+    }
+
+    /// `true` iff `prepared` is the resident entry for its name (not
+    /// evicted, not replaced).
+    pub(crate) fn is_resident(&self, prepared: &Arc<PreparedProgram>) -> bool {
+        self.entries
+            .get(prepared.program().name())
+            .is_some_and(|entry| Arc::ptr_eq(&entry.prepared, prepared))
     }
 
     /// Second half of the two-phase resolve: installs an externally
@@ -850,428 +841,20 @@ impl Default for SessionCache {
     }
 }
 
-/// Version stamp of the on-disk session formats.  Bumped whenever the
-/// fingerprint encoding or the file layout changes; a mismatch makes the
-/// loader fall back to a cold start (which is always sound — the session is
-/// a pure accelerator).
-///
-/// v2: [`BatchReport`] grew the bundle stamp and per-program fingerprints.
-const SESSION_FORMAT_VERSION: u64 = 2;
-
-const SCAN_SESSION_FILE: &str = "scan-session.json";
-
-/// The persisted state of an incremental bundle scan: the previous merged
-/// report plus one structural fingerprint per program, stored as **one**
-/// JSON document under a caller-chosen session directory — one document so
-/// the temp-file-plus-rename replacement is atomic as a whole, and a crash
-/// can never pair fingerprints from one scan with verdicts from another.
-pub struct ScanSession {
-    dir: PathBuf,
-}
-
-impl ScanSession {
-    /// Opens (without reading) the session stored under `dir`.
-    pub fn new(dir: impl Into<PathBuf>) -> Self {
-        Self { dir: dir.into() }
-    }
-
-    /// The directory this session persists into.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// Loads the previous scan's verdicts and fingerprints, keyed by
-    /// program name.  Any defect — a missing file, malformed JSON, a
-    /// version or panel mismatch — yields `None` (a cold start), never an
-    /// error: the session is an accelerator, and the fallback is simply a
-    /// full re-analysis with identical results.
-    fn load(&self, panel: PanelSpec) -> Option<HashMap<String, (Fingerprint, ProgramVerdict)>> {
-        let text = std::fs::read_to_string(self.dir.join(SCAN_SESSION_FILE)).ok()?;
-        let value = JsonValue::parse(&text).ok()?;
-        if value.get("version").and_then(JsonValue::as_u64) != Some(SESSION_FORMAT_VERSION) {
-            return None;
-        }
-        // The report travels as an embedded JSON string so the whole
-        // session is one atomically-replaced document while reusing
-        // `BatchReport`'s own (de)serialization.
-        let report =
-            BatchReport::from_json(value.get("report").and_then(JsonValue::as_str)?).ok()?;
-        if report.panel != panel {
-            return None;
-        }
-        let mut fingerprints = HashMap::new();
-        for entry in value.get("fingerprints").and_then(JsonValue::as_array)? {
-            let program = entry.get("program").and_then(JsonValue::as_str)?;
-            let fingerprint =
-                Fingerprint::from_hex(entry.get("fingerprint").and_then(JsonValue::as_str)?)?;
-            fingerprints.insert(program.to_string(), fingerprint);
-        }
-        let mut entries = HashMap::new();
-        for verdict in report.programs {
-            if let Some(fingerprint) = fingerprints.get(&verdict.report.program) {
-                // A verdict whose own fingerprint disagrees with the keyed
-                // one is a corrupted pairing; dropping it just re-analyses.
-                if verdict.fingerprint != *fingerprint {
-                    continue;
-                }
-                entries.insert(verdict.report.program.clone(), (*fingerprint, verdict));
-            }
-        }
-        Some(entries)
-    }
-
-    /// Persists `report` and the given per-program fingerprints as one
-    /// document, replacing the previous snapshot atomically (temp file +
-    /// rename): a crashed scan leaves the old session intact, and no crash
-    /// point can mix fingerprints and verdicts from different scans.
-    fn store(
-        &self,
-        report: &BatchReport,
-        fingerprints: &[(String, Fingerprint)],
-    ) -> Result<(), BatchError> {
-        let io_err = |path: &Path| {
-            let path = path.to_path_buf();
-            move |error| BatchError::Io { path, error }
-        };
-        std::fs::create_dir_all(&self.dir).map_err(io_err(&self.dir))?;
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"version\": {SESSION_FORMAT_VERSION},\n"));
-        out.push_str("  \"fingerprints\": [\n");
-        for (i, (program, fingerprint)) in fingerprints.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"program\": {}, \"fingerprint\": {}}}{}\n",
-                json::string(program),
-                json::string(&fingerprint.to_hex()),
-                if i + 1 == fingerprints.len() { "" } else { "," }
-            ));
-        }
-        out.push_str("  ],\n");
-        out.push_str(&format!(
-            "  \"report\": {}\n}}",
-            json::string(&report.to_json())
-        ));
-        let target = self.dir.join(SCAN_SESSION_FILE);
-        let temp = self
-            .dir
-            .join(format!("{SCAN_SESSION_FILE}.tmp.{}", std::process::id()));
-        std::fs::write(&temp, out).map_err(io_err(&temp))?;
-        std::fs::rename(&temp, &target).map_err(io_err(&target))
-    }
-}
-
-/// What an incremental scan did, alongside its (deterministic) report.
-pub struct ScanOutcome {
-    /// The merged bundle report — byte-identical to what a fresh
-    /// [`run_bundle`] over the same files produces.
-    pub report: BatchReport,
-    /// Programs whose verdicts were spliced in from the stored session.
-    pub reused: usize,
-    /// Programs that were (re-)analysed this scan.
-    pub analyzed: usize,
-    /// The error that prevented the refreshed session from being written,
-    /// if any.  Non-fatal by design: the report above is complete and
-    /// correct either way, only the *next* scan loses its warm start.
-    pub store_error: Option<BatchError>,
-}
-
-/// Runs a bundle scan against a persisted [`ScanSession`]: programs whose
-/// structural fingerprints match the stored snapshot reuse their stored
-/// verdicts wholesale; only the changed (or new) programs are analysed —
-/// fanned `jobs` ways over one shared [`CacheSession`] front, whose
-/// acquire/commit protocol runs every cold preparation outside the session
-/// lock — and the refreshed session is written back.
-///
-/// The returned report is **bit-identical** to a fresh
-/// [`crate::batch::run_bundle`] over the same files: stored verdicts are
-/// timing-free pure functions of (program structure, panel), fresh ones run
-/// the exact per-program pipeline of a fresh shard, and renames — which the
-/// fingerprint ignores — cannot appear in a [`BatchReport`], whose only
-/// name, the program name, is the session key itself.
-///
-/// Files saved *while the scan runs* cannot poison the session: the
-/// programs parsed by the fingerprint pass are the programs analysed — the
-/// file is never read twice — so a persisted fingerprint always keys the
-/// verdict of exactly that content.
-///
-/// # Errors
-///
-/// [`BatchError::Io`]/[`BatchError::Parse`] for unreadable or invalid
-/// files, [`BatchError::DuplicateProgram`] for a repeated program name and
-/// [`BatchError::InvalidPanel`] for a degenerate panel.  Session defects
-/// are never errors: a missing or corrupt session degrades to a cold scan,
-/// and a session that cannot be written back (read-only cache volume, full
-/// disk) is reported through [`ScanOutcome::store_error`] while the
-/// completed report — and with it the CI leak verdict — is still returned.
-pub fn scan_bundle_incremental(
-    files: &[PathBuf],
-    panel: PanelSpec,
-    jobs: usize,
-    session: &ScanSession,
-) -> Result<ScanOutcome, BatchError> {
-    if files.is_empty() {
-        return Err(BatchError::NoPrograms);
-    }
-    // Parse and fingerprint the bundle once.  The parsed programs feed the
-    // analysis below directly, so a file saved mid-scan can never pair this
-    // pass's fingerprint with a verdict of newer content.
-    let mut bundle: Vec<(String, Program, Fingerprint)> = Vec::with_capacity(files.len());
-    for path in files {
-        let source = std::fs::read_to_string(path).map_err(|error| BatchError::Io {
-            path: path.clone(),
-            error,
-        })?;
-        let program = parse_program(&source).map_err(|err| BatchError::Parse {
-            path: path.clone(),
-            message: err.to_string(),
-        })?;
-        let name = program.name().to_string();
-        if bundle.iter().any(|(n, _, _)| *n == name) {
-            return Err(BatchError::DuplicateProgram { name });
-        }
-        let fingerprint = program_fingerprint(&program);
-        bundle.push((name, program, fingerprint));
-    }
-
-    let stored = session.load(panel).unwrap_or_default();
-    let misses: Vec<usize> = (0..bundle.len())
-        .filter(|&i| {
-            let (name, _, fp) = &bundle[i];
-            stored.get(name).map(|(old, _)| old) != Some(fp)
-        })
-        .collect();
-
-    // Analyse the misses through one shared cache front, mirroring a fresh
-    // shard's per-program pipeline exactly (same analyzer construction,
-    // same suite, same timing strip).  Workers pull whole chunks; the only
-    // shared state is the front itself, and its cold prepares run lock-free.
-    let mut fresh: Vec<Option<ProgramVerdict>> = (0..misses.len()).map(|_| None).collect();
-    if !misses.is_empty() {
-        let configs = panel.configs()?;
-        let front = CacheSession::new(SessionCache::with_analyzer(
-            Analyzer::new().max_suite_threads(std::num::NonZeroUsize::MIN),
-        ));
-        let verdict_for = |program: &Program| {
-            let prepared = match front.acquire_structural(program) {
-                CacheOutcome::L0Hit(prepared)
-                | CacheOutcome::WarmHit(prepared)
-                | CacheOutcome::StoreHit(prepared) => prepared,
-                CacheOutcome::NeedsPrepare(guard) => guard.prepare(program),
-            };
-            let report = prepared.run_suite(&configs).report().without_timing();
-            ProgramVerdict::from_report(report, prepared.fingerprint())
-        };
-        let per_worker = misses.len().div_ceil(jobs.clamp(1, misses.len()));
-        std::thread::scope(|scope| {
-            for (slots, indices) in fresh.chunks_mut(per_worker).zip(misses.chunks(per_worker)) {
-                let (bundle, verdict_for) = (&bundle, &verdict_for);
-                scope.spawn(move || {
-                    for (slot, &i) in slots.iter_mut().zip(indices) {
-                        *slot = Some(verdict_for(&bundle[i].1));
-                    }
-                });
-            }
-        });
-    }
-
-    // Splice stored and fresh verdicts back into bundle order.  Every
-    // persisted pairing is sound by construction: a fresh verdict came from
-    // the very program its fingerprint hashes, and a reused one re-matched
-    // the stored fingerprint this scan.
-    let mut programs = Vec::with_capacity(bundle.len());
-    let mut persist: Vec<(String, Fingerprint)> = Vec::with_capacity(bundle.len());
-    let mut reused = 0;
-    let mut fresh = misses.iter().copied().zip(fresh).peekable();
-    for (i, (name, _, fp)) in bundle.iter().enumerate() {
-        match fresh.peek() {
-            Some(&(miss, _)) if miss == i => {
-                let verdict = fresh
-                    .next()
-                    .and_then(|(_, v)| v)
-                    .expect("every miss chunk filled its slots");
-                persist.push((name.clone(), *fp));
-                programs.push(verdict);
-            }
-            _ => {
-                // Not a miss, so the stored fingerprint matched this scan's
-                // own read — the lookup cannot fail.
-                let (_, verdict) = stored
-                    .get(name)
-                    .filter(|(old, _)| old == fp)
-                    .expect("a bundle entry is either analysed or a session hit");
-                reused += 1;
-                persist.push((name.clone(), *fp));
-                programs.push(verdict.clone());
-            }
-        }
-    }
-    // Stamp against the full bundle, exactly as a fresh `run_bundle` would:
-    // the checksum folds the fingerprint pass this scan already ran.
-    let stamp = BundleStamp {
-        checksum: panel_checksum(panel, bundle.iter().map(|(_, _, fp)| *fp)),
-        total: bundle.len(),
-        start: 0,
-    };
-    let report = BatchReport {
-        panel,
-        stamp: Some(stamp),
-        programs,
-    };
-    let store_error = session.store(&report, &persist).err();
-    Ok(ScanOutcome {
-        report,
-        reused,
-        analyzed: bundle.len() - reused,
-        store_error,
-    })
-}
-
-/// Replay store for `specan analyze --incremental`: rendered outputs keyed
-/// by the canonical program text plus a configuration signature.
-///
-/// Unlike the structural fingerprints driving [`ScanSession`], these keys
-/// are **name-sensitive** — `analyze` output embeds region and block names,
-/// so a rename must invalidate the stored rendering.  They remain
-/// insensitive to comments and whitespace, because the key hashes the
-/// canonical `Display` rendering of the parsed program rather than the
-/// source bytes.
-pub struct AnalyzeSession {
-    dir: PathBuf,
-    /// Optional byte budget over the stored renderings (`--max-session-bytes`
-    /// on `specan analyze --incremental`); pruning drops least recently
-    /// *used* entries first, exactly like the in-memory cache.
-    max_bytes: Option<u64>,
-}
-
-/// How many renderings [`AnalyzeSession`] keeps before pruning the oldest.
-/// Every distinct (program text, flag signature) pair stores one file, so
-/// an hours-long edit loop would otherwise grow the directory with every
-/// keystroke-level edit; the bound keeps it at "recent history" size.
-const ANALYZE_STORE_CAP: usize = 512;
-
-impl AnalyzeSession {
-    /// Opens (without reading) the replay store under `dir`.
-    pub fn new(dir: impl Into<PathBuf>) -> Self {
-        Self {
-            dir: dir.into(),
-            max_bytes: None,
-        }
-    }
-
-    /// Additionally bounds the store to at most `bytes` of stored output
-    /// (on top of the [`ANALYZE_STORE_CAP`] entry count): pruning removes
-    /// the least recently used renderings until the rest fit.  Like every
-    /// session bound, this only costs replays, never correctness.
-    pub fn max_session_bytes(mut self, bytes: u64) -> Self {
-        self.max_bytes = Some(bytes);
-        self
-    }
-
-    /// The directory this session persists into.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// The replay key of `program` analysed under `signature` (a caller-
-    /// built stable rendering of every configuration knob that shapes the
-    /// output, including the output format itself).
-    pub fn key(program: &Program, signature: &str) -> Fingerprint {
-        let mut bytes = program.to_string().into_bytes();
-        bytes.push(0);
-        bytes.extend_from_slice(signature.as_bytes());
-        bytes.extend_from_slice(&SESSION_FORMAT_VERSION.to_le_bytes());
-        Fingerprint::of_bytes(&bytes)
-    }
-
-    fn path_of(&self, key: Fingerprint) -> PathBuf {
-        self.dir.join(format!("analyze-{}.out", key.to_hex()))
-    }
-
-    /// The stored rendering for `key`, if any.  A hit refreshes the file's
-    /// modification time (best-effort) so [`AnalyzeSession::store`]'s
-    /// pruning evicts by recency of *use*, not of creation — a hot replay
-    /// must outlive a churn of never-replayed entries.
-    pub fn lookup(&self, key: Fingerprint) -> Option<String> {
-        let path = self.path_of(key);
-        let output = std::fs::read_to_string(&path).ok()?;
-        if let Ok(file) = std::fs::File::options().append(true).open(&path) {
-            let now = std::time::SystemTime::now();
-            let _ = file.set_times(std::fs::FileTimes::new().set_modified(now));
-        }
-        Some(output)
-    }
-
-    /// Stores `output` under `key` (atomically: temp file + rename) and
-    /// prunes the oldest renderings beyond [`ANALYZE_STORE_CAP`], so the
-    /// store tracks recent edit history instead of growing without bound.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors; callers may treat them as non-fatal —
-    /// a store that fails only costs the next replay.
-    pub fn store(&self, key: Fingerprint, output: &str) -> std::io::Result<()> {
-        // The temp name carries a process-wide counter on top of the pid:
-        // two suite threads storing the same key (a bundle with duplicate
-        // program text) must never share a temp file, or one thread's
-        // rename could publish the other's half-written content.
-        static STORE_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-        std::fs::create_dir_all(&self.dir)?;
-        let target = self.path_of(key);
-        let temp = self.dir.join(format!(
-            "analyze-{}.tmp.{}.{}",
-            key.to_hex(),
-            std::process::id(),
-            STORE_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
-        ));
-        std::fs::write(&temp, output)?;
-        std::fs::rename(&temp, &target)?;
-        self.prune();
-        Ok(())
-    }
-
-    /// Removes the least recently used stored renderings (by modification
-    /// time — refreshed on every replay) beyond the entry cap and, when a
-    /// byte budget is set, beyond it too.  Best-effort: pruning failures
-    /// are invisible — a stale entry costs disk, never correctness.
-    fn prune(&self) {
-        let Ok(entries) = std::fs::read_dir(&self.dir) else {
-            return;
-        };
-        let mut outputs: Vec<(std::time::SystemTime, u64, PathBuf)> = entries
-            .flatten()
-            .filter_map(|entry| {
-                let path = entry.path();
-                let name = path.file_name()?.to_str()?;
-                if !name.starts_with("analyze-") || !name.ends_with(".out") {
-                    return None;
-                }
-                let meta = entry.metadata().ok()?;
-                Some((meta.modified().ok()?, meta.len(), path))
-            })
-            .collect();
-        outputs.sort();
-        let mut resident: u64 = outputs.iter().map(|(_, bytes, _)| bytes).sum();
-        let mut drop = 0;
-        while drop < outputs.len()
-            && (outputs.len() - drop > ANALYZE_STORE_CAP
-                || self.max_bytes.is_some_and(|budget| resident > budget))
-        {
-            resident -= outputs[drop].1;
-            drop += 1;
-        }
-        for (_, _, path) in &outputs[..drop] {
-            let _ = std::fs::remove_file(path);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::{run_bundle, ExecMode, PanelKind};
+    use crate::batch::{
+        run_bundle, run_bundle_slice, BatchReport, ExecMode, PanelKind, PanelSpec, ScanOutcome,
+    };
+    use crate::cache_session::{CacheOutcome, CacheSession};
+    use crate::options::AnalysisOptions;
     use crate::session::comparison_configs;
     use spec_cache::CacheConfig;
     use spec_ir::builder::ProgramBuilder;
+    use spec_ir::text::parse_program;
     use spec_ir::IndexExpr;
+    use std::path::{Path, PathBuf};
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn program(name: &str, offset: u64) -> Program {
@@ -1595,30 +1178,47 @@ mod tests {
         }
     }
 
+    /// One store-backed scan of the whole of `files`.
+    fn scan(files: &[PathBuf], panel: PanelSpec, store: &Path) -> ScanOutcome {
+        let store = Some(PreparedStore::open(store));
+        run_bundle_slice(files, 0..files.len(), panel, 1, store).unwrap()
+    }
+
+    fn fresh_scan(files: &[PathBuf], panel: PanelSpec) -> BatchReport {
+        run_bundle(files, panel, 1, &ExecMode::InProcess).unwrap()
+    }
+
+    fn store_session(dir: &Path) -> CacheSession {
+        CacheSession::new(SessionCache::new().artifact_store(PreparedStore::open(dir)))
+    }
+
     #[test]
     fn incremental_scan_reuses_unchanged_programs_and_matches_fresh() {
         let scratch = Scratch::new();
+        // Two structures: the store keys artifacts by structural
+        // fingerprint, so same-structure programs would share one file.
         let a = scratch.write("a.spec", &spec_source("alpha", 0));
-        let b = scratch.write("b.spec", &spec_source("beta", 0));
-        let files = vec![a.clone(), b.clone()];
-        let session = ScanSession::new(scratch.0.join("session"));
+        let b = scratch.write("b.spec", &spec_source("beta", 16));
+        let files = vec![a, b];
+        let store = scratch.0.join("store");
 
-        let cold = scan_bundle_incremental(&files, leak_panel(), 1, &session).unwrap();
+        let cold = scan(&files, leak_panel(), &store);
         assert_eq!((cold.reused, cold.analyzed), (0, 2));
 
-        // No edits: everything replays, and the report is byte-identical to
-        // a fresh bundle run.
-        let warm = scan_bundle_incremental(&files, leak_panel(), 1, &session).unwrap();
+        // No edits: both programs load from the store, and the report is
+        // byte-identical to a store-less bundle run.
+        let warm = scan(&files, leak_panel(), &store);
         assert_eq!((warm.reused, warm.analyzed), (2, 0));
-        let fresh = run_bundle(&files, leak_panel(), 1, &ExecMode::InProcess).unwrap();
+        let fresh = fresh_scan(&files, leak_panel());
         assert_eq!(warm.report, fresh);
         assert_eq!(warm.report.to_json(), fresh.to_json());
 
-        // Edit one file in place: only it re-analyses; bundle order holds.
+        // Edit one file in place: only it is prepared again; bundle order
+        // holds.
         scratch.write("a.spec", &spec_source("alpha", 32));
-        let edited = scan_bundle_incremental(&files, leak_panel(), 1, &session).unwrap();
+        let edited = scan(&files, leak_panel(), &store);
         assert_eq!((edited.reused, edited.analyzed), (1, 1));
-        let fresh = run_bundle(&files, leak_panel(), 1, &ExecMode::InProcess).unwrap();
+        let fresh = fresh_scan(&files, leak_panel());
         assert_eq!(edited.report.to_json(), fresh.to_json());
         let names: Vec<&str> = edited
             .report
@@ -1632,25 +1232,37 @@ mod tests {
     #[test]
     fn panel_changes_and_corrupt_sessions_cold_start() {
         let scratch = Scratch::new();
-        let a = scratch.write("a.spec", &spec_source("alpha", 0));
-        let files = vec![a];
-        let session = ScanSession::new(scratch.0.join("session"));
-        scan_bundle_incremental(&files, leak_panel(), 1, &session).unwrap();
+        let files = vec![scratch.write("a.spec", &spec_source("alpha", 0))];
+        let store = scratch.0.join("store");
+        scan(&files, leak_panel(), &store);
 
-        // A different panel must not reuse leak-check verdicts.
+        // Artifacts do not depend on the panel: another panel restores the
+        // stored session, solves its own rounds and answers like a fresh
+        // run, never with the leak-check verdicts.
         let other = PanelSpec {
             kind: PanelKind::Comparison,
             cache_lines: 8,
         };
-        let outcome = scan_bundle_incremental(&files, other, 1, &session).unwrap();
-        assert_eq!((outcome.reused, outcome.analyzed), (0, 1));
+        let fresh = fresh_scan(&files, other);
+        let outcome = scan(&files, other, &store);
+        assert_eq!((outcome.reused, outcome.analyzed), (1, 0));
+        assert_eq!(outcome.report, fresh);
 
-        // Corrupt the stored session: the next scan degrades to cold.
-        std::fs::write(session.dir().join(SCAN_SESSION_FILE), "not json").unwrap();
-        let outcome = scan_bundle_incremental(&files, other, 1, &session).unwrap();
+        // Corrupt every stored artifact: the next scan degrades to cold...
+        for entry in std::fs::read_dir(&store).unwrap().flatten() {
+            if entry
+                .path()
+                .extension()
+                .is_some_and(|ext| ext == "artifact")
+            {
+                std::fs::write(entry.path(), "not an artifact").unwrap();
+            }
+        }
+        let outcome = scan(&files, other, &store);
         assert_eq!((outcome.reused, outcome.analyzed), (0, 1));
-        // ...and the rewritten session is healthy again.
-        let outcome = scan_bundle_incremental(&files, other, 1, &session).unwrap();
+        assert_eq!(outcome.report, fresh);
+        // ...and the rewritten store is healthy again.
+        let outcome = scan(&files, other, &store);
         assert_eq!((outcome.reused, outcome.analyzed), (1, 0));
     }
 
@@ -1658,182 +1270,131 @@ mod tests {
     fn unwritable_session_still_returns_the_report() {
         let scratch = Scratch::new();
         let a = scratch.write("a.spec", &spec_source("alpha", 0));
-        // A *file* where the session directory should be: create_dir_all
-        // fails, so the write-back cannot succeed — but the scan must.
+        // A *file* where the store directory should be: nothing can be
+        // written under it, but every scan must still answer.
         let blocked = scratch.write("blocked", "not a directory");
-        let session = ScanSession::new(&blocked);
-        let outcome =
-            scan_bundle_incremental(std::slice::from_ref(&a), leak_panel(), 1, &session).unwrap();
-        assert!(outcome.store_error.is_some(), "the store failure surfaces");
-        assert_eq!((outcome.reused, outcome.analyzed), (0, 1));
-        let fresh = run_bundle(&[a], leak_panel(), 1, &ExecMode::InProcess).unwrap();
-        assert_eq!(outcome.report, fresh, "the verdict survives the failure");
-    }
-
-    #[test]
-    fn analyze_store_prunes_beyond_the_cap() {
-        let scratch = Scratch::new();
-        let session = AnalyzeSession::new(scratch.0.join("analyze"));
-        for i in 0..ANALYZE_STORE_CAP + 8 {
-            session.store(Fingerprint(i as u64), "output").unwrap();
+        let fresh = fresh_scan(std::slice::from_ref(&a), leak_panel());
+        for _ in 0..2 {
+            let outcome = scan(std::slice::from_ref(&a), leak_panel(), &blocked);
+            assert_eq!((outcome.reused, outcome.analyzed), (0, 1));
+            assert_eq!(outcome.report, fresh, "the verdict survives the failure");
         }
-        let stored = std::fs::read_dir(session.dir())
-            .unwrap()
-            .flatten()
-            .filter(|e| e.file_name().to_string_lossy().ends_with(".out"))
-            .count();
-        assert_eq!(stored, ANALYZE_STORE_CAP, "the cap holds");
-    }
-
-    /// Pins every stored rendering's modification time to a distinct past
-    /// instant (older for lower indices), so pruning order is a pure
-    /// function of the test's subsequent lookups.
-    fn age_stored_outputs(session: &AnalyzeSession, keys: &[Fingerprint]) {
-        for (i, key) in keys.iter().enumerate() {
-            let path = session.dir().join(format!("analyze-{}.out", key.to_hex()));
-            let stamp = std::time::SystemTime::UNIX_EPOCH
-                + std::time::Duration::from_secs(1_000_000 + i as u64);
-            let file = std::fs::File::options().append(true).open(&path).unwrap();
-            file.set_times(std::fs::FileTimes::new().set_modified(stamp))
-                .unwrap();
-        }
-    }
-
-    fn stored_keys(session: &AnalyzeSession) -> Vec<String> {
-        let mut names: Vec<String> = std::fs::read_dir(session.dir())
-            .unwrap()
-            .flatten()
-            .map(|entry| entry.file_name().to_string_lossy().into_owned())
-            .filter(|name| name.ends_with(".out"))
-            .collect();
-        names.sort();
-        names
-    }
-
-    #[test]
-    fn analyze_store_prunes_by_recency_of_use_not_creation() {
-        let scratch = Scratch::new();
-        let session = AnalyzeSession::new(scratch.0.join("analyze"));
-        let keys: Vec<Fingerprint> = (0..ANALYZE_STORE_CAP as u64).map(Fingerprint).collect();
-        for key in &keys {
-            session.store(*key, "output").unwrap();
-        }
-        age_stored_outputs(&session, &keys);
-
-        // Replaying the *oldest-created* entry refreshes its recency...
-        assert_eq!(session.lookup(keys[0]).as_deref(), Some("output"));
-        // ...so the next over-cap store evicts entry 1 (now the LRU),
-        // never the hot entry 0.
-        session
-            .store(Fingerprint(ANALYZE_STORE_CAP as u64 + 7), "new")
-            .unwrap();
-        let names = stored_keys(&session);
-        assert_eq!(names.len(), ANALYZE_STORE_CAP, "the cap holds");
-        assert!(
-            names.contains(&format!("analyze-{}.out", keys[0].to_hex())),
-            "the replayed entry survives the churn"
+        assert_eq!(
+            std::fs::read_to_string(&blocked).unwrap(),
+            "not a directory"
         );
-        assert!(
-            !names.contains(&format!("analyze-{}.out", keys[1].to_hex())),
-            "the least recently used entry is the victim"
-        );
-    }
-
-    #[test]
-    fn analyze_store_byte_budget_prunes_least_recently_used_first() {
-        let scratch = Scratch::new();
-        // Four 100-byte renderings stored unbounded, then re-opened under
-        // a 250-byte budget: the next store keeps only the two most
-        // recently used.
-        let unbounded = AnalyzeSession::new(scratch.0.join("analyze"));
-        let keys: Vec<Fingerprint> = (0..4u64).map(Fingerprint).collect();
-        let output = "x".repeat(100);
-        for key in &keys {
-            unbounded.store(*key, &output).unwrap();
-        }
-        age_stored_outputs(&unbounded, &keys);
-        let session = AnalyzeSession::new(scratch.0.join("analyze")).max_session_bytes(250);
-        // A refresh pulls entry 0 ahead of 1 and 2 before the next store
-        // triggers pruning.
-        assert!(session.lookup(keys[0]).is_some());
-        session.store(Fingerprint(9), &output).unwrap();
-        let names = stored_keys(&session);
-        assert_eq!(names.len(), 2, "250 bytes hold two 100-byte entries");
-        assert!(names.contains(&format!("analyze-{}.out", keys[0].to_hex())));
-        assert!(names.contains(&format!("analyze-{}.out", Fingerprint(9).to_hex())));
     }
 
     #[test]
     fn corrupt_stored_entries_cold_start_instead_of_replaying() {
         let scratch = Scratch::new();
-        let session = AnalyzeSession::new(scratch.0.join("analyze"));
-        let key = Fingerprint(42);
-        session.store(key, "good output").unwrap();
-        // Corrupt the stored rendering in place (invalid UTF-8): the next
-        // lookup must miss — a cold re-analysis — not crash or replay
-        // garbage, and a fresh store heals the entry.
-        let path = session.dir().join(format!("analyze-{}.out", key.to_hex()));
-        std::fs::write(&path, [0xff, 0xfe, 0x00, 0x9f]).unwrap();
-        assert_eq!(session.lookup(key), None, "corruption degrades to a miss");
-        session.store(key, "fresh output").unwrap();
-        assert_eq!(session.lookup(key).as_deref(), Some("fresh output"));
+        let store = scratch.0.join("store");
+        let configs = comparison_configs(CacheConfig::fully_associative(4, 64));
+        let p = program("a", 0);
+        let first = store_session(&store);
+        let CacheOutcome::NeedsPrepare(guard) = first.acquire(&p) else {
+            panic!("an empty store misses");
+        };
+        let fresh = guard
+            .prepare(&p)
+            .run_suite(&configs)
+            .report()
+            .without_timing();
+        first.checkpoint();
+
+        // Truncate the stored artifact in place: the next acquire must
+        // prepare cold, not crash or serve the damaged session, and the
+        // cold session answers exactly like the first.
+        let path = PreparedStore::open(&store)
+            .store()
+            .path_for(program_fingerprint(&p).0);
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
+        let second = store_session(&store);
+        let CacheOutcome::NeedsPrepare(guard) = second.acquire(&p) else {
+            panic!("a truncated artifact must not be served");
+        };
+        let report = guard
+            .prepare(&p)
+            .run_suite(&configs)
+            .report()
+            .without_timing();
+        assert_eq!(report.to_json(), fresh.to_json());
+        assert_eq!(second.stats().store_misses, 1);
+        // The commit rewrote a healthy artifact.
+        assert!(matches!(
+            store_session(&store).acquire(&p),
+            CacheOutcome::StoreHit(_)
+        ));
     }
 
     #[test]
     fn identical_programs_under_different_signatures_never_collide() {
         let scratch = Scratch::new();
-        let session = AnalyzeSession::new(scratch.0.join("analyze"));
+        let store = scratch.0.join("store");
         let p = program("a", 0);
-        // One program text, two flag signatures: distinct keys, distinct
-        // replays — a stored JSON rendering must never answer a text
-        // request (the rename-stale-flags twin of the rename-stale-names
-        // class).
-        let json_key = AnalyzeSession::key(&p, "json:8");
-        let text_key = AnalyzeSession::key(&p, "text:8");
-        assert_ne!(json_key, text_key);
-        session.store(json_key, "json rendering").unwrap();
-        assert_eq!(
-            session.lookup(text_key),
-            None,
-            "a different signature must miss"
-        );
-        session.store(text_key, "text rendering").unwrap();
-        assert_eq!(session.lookup(json_key).as_deref(), Some("json rendering"));
-        assert_eq!(session.lookup(text_key).as_deref(), Some("text rendering"));
+        let cache = CacheConfig::fully_associative(4, 64);
+        let speculative = [(
+            "run",
+            AnalysisOptions::builder().cache(cache).build().unwrap(),
+        )];
+        let baseline = [(
+            "run",
+            AnalysisOptions::builder()
+                .baseline()
+                .cache(cache)
+                .build()
+                .unwrap(),
+        )];
+        // One program stored after a run under one configuration...
+        let first = store_session(&store);
+        let CacheOutcome::NeedsPrepare(guard) = first.acquire(&p) else {
+            panic!("an empty store misses");
+        };
+        guard.prepare(&p).run_suite(&speculative);
+        first.checkpoint();
 
-        // And a *reparsed* copy of the same program (identical canonical
-        // text) under the same signature intentionally shares the key —
-        // that is the replay hit the store exists for.
-        let reparsed = parse_program(&p.to_string()).unwrap();
-        assert_eq!(AnalyzeSession::key(&reparsed, "json:8"), json_key);
+        // ...and restored under another: rounds are keyed by
+        // configuration, so the restored session solves its own round and
+        // answers like a fresh session, never with the stored one.
+        let CacheOutcome::StoreHit(restored) = store_session(&store).acquire(&p) else {
+            panic!("the stored artifact loads");
+        };
+        let report = restored.run_suite(&baseline).report().without_timing();
+        assert!(restored.cache_stats().round_misses > 0);
+        let fresh = Analyzer::new().prepare(&p).run_suite(&baseline);
+        assert_eq!(report.to_json(), fresh.report().without_timing().to_json());
     }
 
     #[test]
     fn analyze_session_replays_by_canonical_text_and_signature() {
+        // `analyze --incremental` resolves through a name-exact acquire: a
+        // re-parse of the stored program's text, comments and layout
+        // included, loads from the store; a rename prepares afresh.
         let scratch = Scratch::new();
-        let session = AnalyzeSession::new(scratch.0.join("analyze"));
-        let p = program("a", 0);
-        let key = AnalyzeSession::key(&p, "json:8");
-        assert_eq!(session.lookup(key), None);
-        session.store(key, "rendered output").unwrap();
-        assert_eq!(session.lookup(key).as_deref(), Some("rendered output"));
+        let store = scratch.0.join("store");
+        let source = spec_source("alpha", 0);
+        let p = parse_program(&source).unwrap();
+        let first = store_session(&store);
+        let CacheOutcome::NeedsPrepare(guard) = first.acquire(&p) else {
+            panic!("an empty store misses");
+        };
+        guard.prepare(&p);
 
-        // The key is insensitive to a re-parse round-trip...
-        let reparsed = parse_program(&p.to_string()).unwrap();
-        assert_eq!(AnalyzeSession::key(&reparsed, "json:8"), key);
-        // ...sensitive to the configuration signature...
-        assert_ne!(AnalyzeSession::key(&p, "text:8"), key);
-        // ...and sensitive to renames (analyze output embeds names).
-        let mut renamed = ProgramBuilder::new("a");
-        let t = renamed.region("t_v2", 256, false);
-        let k = renamed.secret_region("k", 8);
-        let entry = renamed.entry_block("entry");
-        renamed.load(entry, t, IndexExpr::Const(0));
-        renamed.load(entry, k, IndexExpr::Const(0));
-        renamed.ret(entry);
-        assert_ne!(
-            AnalyzeSession::key(&renamed.finish().unwrap(), "json:8"),
-            key
-        );
+        let relaid = format!("# a comment\n\n{}", source.replace("  load", "      load"));
+        let relaid = parse_program(&relaid).unwrap();
+        assert!(matches!(
+            store_session(&store).acquire(&relaid),
+            CacheOutcome::StoreHit(_)
+        ));
+        let renamed = source
+            .replace("region t ", "region t2 ")
+            .replace("load t[", "load t2[");
+        let renamed = parse_program(&renamed).unwrap();
+        assert_eq!(program_fingerprint(&renamed), program_fingerprint(&p));
+        assert!(matches!(
+            store_session(&store).acquire(&renamed),
+            CacheOutcome::NeedsPrepare(_)
+        ));
     }
 }

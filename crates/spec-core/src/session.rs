@@ -891,8 +891,8 @@ impl Report {
     /// Strips the non-deterministic fields (suite wall-clock, per-row times
     /// and session cache counters), leaving only values that are pure
     /// functions of the program and the configurations.  Two runs of the
-    /// same panel — threaded, sharded, sequential, or replayed from an
-    /// incremental session — agree bit-for-bit on the result, which is what
+    /// same panel — threaded, sharded, sequential, or restored from an
+    /// artifact store — agree bit-for-bit on the result, which is what
     /// makes [`crate::batch`] reports mergeable and diffable in CI.
     ///
     /// Per-row `iterations` (worklist pops) are stripped too: they describe

@@ -24,24 +24,23 @@
 //!                [--read-timeout-ms N]
 //! specan artifacts <list|verify|gc>            inspect/validate/collect an artifact store
 //!                --artifact-dir DIR [--json] [--max-store-bytes B]
-//! specan worker  --shard-json <spec>           internal: run one shard, print its report
 //! ```
 //!
 //! Common options: `--cache-lines N` (default 512) and `--json` (emit
 //! machine-readable output).  `analyze` additionally accepts `--baseline`,
 //! `--no-shadow`, `--merge-at-rollback`, `--no-unroll` and `--incremental`
-//! (replay unchanged programs from a session directory, default
-//! `.specan-session`, overridable with `--session-dir`).  Bundle-aware
-//! commands (`analyze`, `compare`, `scan`) accept several files, `--jobs N`
-//! (parallelism cap) and `--shard K/N` (run the K-th of N contiguous slices
-//! of the sorted file list — for splitting one bundle across CI machines).
-//! `scan` also accepts directories (searched recursively for `*.spec`),
-//! `--panel <leak-check|comparison>`, `--in-process` (threads instead of
-//! worker subprocesses) and `--session-dir DIR` (incremental: re-analyse
-//! only the programs whose structural fingerprints changed since the last
-//! scan against the same directory); its merged JSON report is
-//! deterministic — bit-identical however the bundle was sharded and whether
-//! or not a session replayed parts of it.
+//! (keep prepared programs in an artifact store, default `.specan-session`,
+//! overridable with `--artifact-dir DIR` or its older spelling
+//! `--session-dir DIR`; `--max-session-bytes N` bounds the in-memory
+//! session).  Bundle-aware commands (`analyze`, `compare`, `scan`) accept
+//! several files, `--jobs N` (thread cap) and `--shard K/N` (run the K-th
+//! of N contiguous slices of the sorted file list — for splitting one
+//! bundle across CI machines).  `scan` also accepts directories (searched
+//! recursively for `*.spec`), `--panel <leak-check|comparison>` and
+//! `--artifact-dir DIR` (or `--session-dir DIR`): unchanged programs then
+//! load from the store with their memoized rounds, and edited ones re-solve
+//! only what the edit touched.  Its merged JSON report is deterministic —
+//! bit-identical however the bundle was sliced and whatever the store held.
 //!
 //! Exit codes: `0` success (no leak), `1` leak detected (`leaks` and `scan`),
 //! `2` usage or input error — so both gates are scriptable in CI:
@@ -60,11 +59,9 @@ use std::process::ExitCode;
 
 use spec_analysis::detect_leaks;
 use spec_cache::CacheConfig;
-use spec_core::batch::{
-    self, discover_programs, run_bundle_slice, run_shard, ExecMode, PanelKind, PanelSpec, ShardSpec,
-};
+use spec_core::batch::{self, discover_programs, run_bundle_slice, PanelKind, PanelSpec};
 use spec_core::gateway::{self, GatewayConfig};
-use spec_core::incremental::{scan_bundle_incremental, AnalyzeSession, ScanSession, SessionCache};
+use spec_core::incremental::SessionCache;
 use spec_core::service::{
     self, AnalyzeConfig, ClientOptions, Request, ServiceClient, ServiceConfig,
 };
@@ -74,7 +71,7 @@ use spec_core::{
 use spec_ir::text::parse_program;
 use spec_ir::Program;
 
-/// Default session directory of `analyze --incremental`.
+/// Default artifact store of `analyze --incremental`.
 const DEFAULT_SESSION_DIR: &str = ".specan-session";
 
 /// Prints a line to stdout, exiting quietly when the downstream consumer
@@ -103,7 +100,6 @@ enum Command {
     Serve,
     Gateway,
     Artifacts,
-    Worker,
 }
 
 struct Cli {
@@ -111,16 +107,12 @@ struct Cli {
     paths: Vec<String>,
     cache_lines: usize,
     json: bool,
-    /// Parallelism cap: suite threads, and worker processes for `scan`.
+    /// Thread cap: suite threads, and bundle threads for `scan`.
     jobs: Option<NonZeroUsize>,
     /// `--shard K/N`: restrict to the K-th of N slices of the file list.
     shard: Option<(usize, usize)>,
-    /// `scan`: run shards on threads instead of worker subprocesses.
-    in_process: bool,
     /// `scan`: which panel each program runs under.
     panel: PanelKind,
-    /// `worker`: the serialized [`ShardSpec`].
-    shard_json: Option<String>,
     /// `serve`/`gateway`: the `host:port` to listen on.
     addr: Option<String>,
     /// `gateway`: the backend fleet (`--backend H:P`, repeatable).
@@ -133,16 +125,16 @@ struct Cli {
     connect_timeout_ms: Option<u64>,
     /// `gateway`: read deadline on forwarded requests in milliseconds.
     request_timeout_ms: Option<u64>,
-    /// `analyze`/`scan`: where incremental session state lives.
+    /// `analyze`/`scan`: the older spelling of `--artifact-dir`, which
+    /// wins when both are given.
     session_dir: Option<PathBuf>,
-    /// `analyze`: replay unchanged programs from the session directory.
+    /// `analyze`: keep prepared programs in the artifact store.
     incremental: bool,
-    /// `serve`/`analyze --incremental`: byte budget on session state —
-    /// warm in-memory sessions for `serve`, the on-disk replay store for
-    /// `analyze`.  Evictions trade recomputation for memory, never output.
+    /// `serve`/`analyze --incremental`: byte budget on the warm in-memory
+    /// session.  Evictions trade recomputation for memory, never output.
     max_session_bytes: Option<u64>,
-    /// `serve`/`analyze --incremental`/`artifacts`: where the persistent
-    /// prepared-artifact store lives.
+    /// `serve`/`analyze --incremental`/`scan`/`artifacts`: where the
+    /// persistent prepared-artifact store lives.
     artifact_dir: Option<PathBuf>,
     /// `serve`/`artifacts`: byte budget on the artifact store, enforced by
     /// recency-based GC.
@@ -163,26 +155,27 @@ fn usage() -> String {
      \n\
      analyze   run one configuration and print the per-access classification\n\
      \x20         [--baseline] [--no-shadow] [--merge-at-rollback] [--no-unroll]\n\
-     \x20         [--jobs N] [--shard K/N] [--incremental [--session-dir DIR]\n\
-     \x20         [--max-session-bytes N] [--artifact-dir DIR]];\n\
-     \x20         several files allowed (JSON output becomes an array);\n\
-     \x20         --incremental replays byte-identical output for programs\n\
-     \x20         unchanged since the last run against the session directory\n\
-     \x20         (default .specan-session; replayed output carries the\n\
-     \x20         original run's timing fields)\n\
+     \x20         [--jobs N] [--shard K/N] [--incremental [--artifact-dir DIR]\n\
+     \x20         [--max-session-bytes N]]; several files allowed (JSON\n\
+     \x20         output becomes an array); --incremental keeps prepared\n\
+     \x20         programs in an artifact store (default .specan-session;\n\
+     \x20         --session-dir is the older spelling of --artifact-dir):\n\
+     \x20         unchanged programs load with their fixpoint rounds, edited\n\
+     \x20         ones re-solve only what the edit touched;\n\
+     \x20         --max-session-bytes N bounds the in-memory session\n\
      compare   prepare once, run the standard configuration panel in parallel\n\
      \x20         [--jobs N] [--shard K/N]; several files allowed (JSON output\n\
      \x20         becomes the merged batch report)\n\
      leaks     side-channel verdict under the speculative analysis;\n\
      \x20         exits 1 when a leak is detected (CI-friendly)\n\
      scan      discover *.spec under the given files/directories, run the\n\
-     \x20         panel per program sharded across worker processes and print\n\
-     \x20         one merged deterministic report; exits 1 if any program\n\
-     \x20         leaks.  [--jobs N] [--shard K/N] [--in-process]\n\
-     \x20         [--panel <leak-check|comparison>] [--session-dir DIR];\n\
-     \x20         with --session-dir only programs whose structural\n\
-     \x20         fingerprints changed since the last scan are re-analysed\n\
-     \x20         (the merged report stays bit-identical to a fresh scan)\n\
+     \x20         panel per program on --jobs threads and print one merged\n\
+     \x20         deterministic report; exits 1 if any program leaks.\n\
+     \x20         [--jobs N] [--shard K/N] [--panel <leak-check|comparison>]\n\
+     \x20         [--artifact-dir DIR] (or --session-dir DIR): programs\n\
+     \x20         unchanged since the last scan against the store load from\n\
+     \x20         it, edited ones re-solve only what the edit touched (the\n\
+     \x20         merged report stays bit-identical to a fresh scan)\n\
      merge     verified fan-in of sharded scan/compare artifacts: checks the\n\
      \x20         slices share one bundle checksum and tile it completely,\n\
      \x20         then prints the merged report; exits 1 if any program\n\
@@ -230,9 +223,7 @@ fn usage() -> String {
      \x20         per artifact, `verify` fully validates every file (exit 0\n\
      \x20         iff all pass), `gc` removes quarantined/temp leftovers and\n\
      \x20         enforces --max-store-bytes.  Requires --artifact-dir DIR;\n\
-     \x20         list/verify accept --json\n\
-     worker    internal: --shard-json <spec|-> runs one scan shard and\n\
-     \x20         prints its report as JSON (`-` reads the spec from stdin)"
+     \x20         list/verify accept --json"
         .to_string()
 }
 
@@ -258,7 +249,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
         Some("serve") => Command::Serve,
         Some("gateway") => Command::Gateway,
         Some("artifacts") => Command::Artifacts,
-        Some("worker") => Command::Worker,
         Some("--help" | "-h" | "help") | None => return Err(usage()),
         Some(other) => {
             return Err(format!("unrecognised command `{other}`\n{}", usage()));
@@ -271,9 +261,7 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
         json: false,
         jobs: None,
         shard: None,
-        in_process: false,
         panel: PanelKind::Comparison,
-        shard_json: None,
         addr: None,
         backends: Vec::new(),
         probe_interval_ms: None,
@@ -368,7 +356,7 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
             "--jobs"
                 if matches!(
                     cli.command,
-                    Command::Leaks | Command::Worker | Command::Merge | Command::Artifacts
+                    Command::Leaks | Command::Merge | Command::Artifacts
                 ) =>
             {
                 return Err(format!("`--jobs` does not apply here\n{}", usage()));
@@ -390,13 +378,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
                 return Err(format!("`--shard` does not apply here\n{}", usage()));
             }
             "--shard" => cli.shard = Some(parse_shard(&value_of("--shard")?)?),
-            "--in-process" if !matches!(cli.command, Command::Scan) => {
-                return Err(format!(
-                    "`--in-process` only applies to `scan`\n{}",
-                    usage()
-                ));
-            }
-            "--in-process" => cli.in_process = true,
             "--panel" if !matches!(cli.command, Command::Scan) => {
                 return Err(format!("`--panel` only applies to `scan`\n{}", usage()));
             }
@@ -412,13 +393,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
                     }
                 };
             }
-            "--shard-json" if !matches!(cli.command, Command::Worker) => {
-                return Err(format!(
-                    "`--shard-json` only applies to `worker`\n{}",
-                    usage()
-                ));
-            }
-            "--shard-json" => cli.shard_json = Some(value_of("--shard-json")?),
             "--session-dir" if !matches!(cli.command, Command::Analyze | Command::Scan) => {
                 return Err(format!(
                     "`--session-dir` only applies to `analyze` and `scan`\n{}",
@@ -454,12 +428,12 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
             "--artifact-dir"
                 if !matches!(
                     cli.command,
-                    Command::Serve | Command::Analyze | Command::Artifacts
+                    Command::Serve | Command::Analyze | Command::Scan | Command::Artifacts
                 ) =>
             {
                 return Err(format!(
                     "`--artifact-dir` only applies to `serve`, `analyze \
-                     --incremental` and `artifacts`\n{}",
+                     --incremental`, `scan` and `artifacts`\n{}",
                     usage()
                 ));
             }
@@ -504,11 +478,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
         }
     }
     match cli.command {
-        Command::Worker => {
-            if cli.shard_json.is_none() {
-                return Err(format!("`worker` needs --shard-json\n{}", usage()));
-            }
-        }
         Command::Leaks => {
             if cli.paths.len() != 1 {
                 return Err(format!(
@@ -575,15 +544,7 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
         Command::Analyze if cli.max_session_bytes.is_some() && !cli.incremental => {
             return Err(format!(
                 "`analyze --max-session-bytes` needs `--incremental` (it bounds \
-                 the replay store)\n{}",
-                usage()
-            ));
-        }
-        Command::Scan if cli.session_dir.is_some() && cli.shard.is_some() => {
-            return Err(format!(
-                "`scan` cannot combine `--shard` with `--session-dir`: an \
-                 incremental session already skips unchanged programs, and a \
-                 slice must not be stamped as a whole bundle\n{}",
+                 the in-memory session)\n{}",
                 usage()
             ));
         }
@@ -680,46 +641,26 @@ fn print_banner(cli: &Cli, program: &Program) {
     }
 }
 
-/// The configuration knobs that shape `analyze` output, rendered stably —
-/// the replay key of the incremental session covers the program text *and*
-/// this signature, so a flag change can never replay a stale rendering.
-fn analyze_signature(cli: &Cli) -> String {
-    format!(
-        "json={};lines={};baseline={};shadow={};mar={};unroll={}",
-        cli.json, cli.cache_lines, cli.baseline, cli.shadow, cli.merge_at_rollback, cli.unroll
-    )
+/// The artifact store of `scan` and `analyze --incremental`:
+/// `--artifact-dir`, or its older spelling `--session-dir`.
+fn store_dir(cli: &Cli) -> Option<&PathBuf> {
+    cli.artifact_dir.as_ref().or(cli.session_dir.as_ref())
 }
 
 /// One `analyze` unit of work: its rendered output (text or JSON object),
-/// replayed from `session` when the program is unchanged since the output
-/// was stored, rendered through the shared service-layer path otherwise.
+/// from a prepared program that is warm in this run's shared front, loaded
+/// from the artifact store, or prepared now.
 fn analyze_one(
     cli: &Cli,
     path: &std::path::Path,
-    session: Option<&AnalyzeSession>,
     sessions: &CacheSession,
 ) -> Result<String, String> {
     let config = analyze_config(cli);
     config.options()?; // surface configuration errors before any analysis
     let program = load_program(&path.display().to_string())?;
-    let key = session.map(|session| {
-        let key = AnalyzeSession::key(&program, &analyze_signature(cli));
-        (session, key)
-    });
-    if let Some((session, key)) = &key {
-        if let Some(stored) = session.lookup(*key) {
-            // Replayed byte-for-byte — including the original run's timing
-            // fields, which a CI diff strips anyway.
-            eprintln!("session: replayed `{}`", path.display());
-            return Ok(stored);
-        }
-    }
-    // The output replay missed (new program, or a flag change).  The
-    // *prepared session* — which is flag-independent — may still be warm
-    // in this run's shared front or, with `--artifact-dir`, on disk; an
-    // acquire resolves the tiers in that order.  Acquires are name-exact
-    // (`analyze` output embeds region and block names), so a renamed
-    // program prepares cold and overwrites the artifact.
+    // Acquires are name-exact (`analyze` output embeds region and block
+    // names), so a renamed program prepares afresh and overwrites the
+    // artifact.
     let prepared = match sessions.acquire(&program) {
         CacheOutcome::L0Hit(prepared) | CacheOutcome::WarmHit(prepared) => prepared,
         CacheOutcome::StoreHit(prepared) => {
@@ -728,11 +669,12 @@ fn analyze_one(
         }
         CacheOutcome::NeedsPrepare(guard) => guard.prepare(&program),
     };
+    let grown_from = prepared.growth_stamp();
     let output = service::analyze_output(&prepared, &config)?;
     // Compositional-reuse accounting: when this preparation was seeded from
     // a donor (in-memory predecessor or the store's name index), say how
-    // many block summaries were transplanted vs re-solved — the line CI
-    // greps to prove an incremental edit did *not* redo the whole fixpoint.
+    // many block summaries were transplanted vs re-solved — the line that
+    // proves an incremental edit did *not* redo the whole fixpoint.
     let stats = prepared.cache_stats();
     if stats.summary_hits > 0 || stats.summaries_invalidated > 0 {
         eprintln!(
@@ -743,21 +685,15 @@ fn analyze_one(
             path.display()
         );
     }
-    // Flush dirty entries *after* the run so a stored artifact carries the
-    // memoized fixpoint rounds this configuration populated — the next run
-    // (any flags) replays them from disk.  Writes are best-effort: a
-    // failure only costs warmth, never the output.
+    // Persist *after* the run, so a stored artifact carries the fixpoint
+    // rounds this configuration filled and the next run loads them.
+    // Writes are best-effort: a failure only costs warmth, never output.
+    if prepared.growth_stamp() != grown_from {
+        sessions.persist(&prepared);
+    }
     sessions.checkpoint();
-    if let Some((session, key)) = key {
+    if cli.incremental {
         eprintln!("session: analysed `{}`", path.display());
-        if let Err(err) = session.store(key, &output) {
-            // A failed store only costs the next replay; say so and go on.
-            eprintln!(
-                "session: warning: cannot store `{}` in {}: {err}",
-                path.display(),
-                session.dir().display()
-            );
-        }
     }
     Ok(output)
 }
@@ -822,27 +758,18 @@ fn cmd_analyze(cli: &Cli) -> Result<u8, String> {
     let (bundle, range) = select_bundle(cli)?;
     let files = bundle[range].to_vec();
     echo_jobs(cli, effective_jobs(cli));
-    let session = cli.incremental.then(|| {
-        let session = AnalyzeSession::new(
-            cli.session_dir
-                .clone()
-                .unwrap_or_else(|| PathBuf::from(DEFAULT_SESSION_DIR)),
-        );
-        match cli.max_session_bytes {
-            Some(bytes) => session.max_session_bytes(bytes),
-            None => session,
-        }
-    });
     // One shared tier front for the whole bundle: a re-listed program is
-    // served warm, and `--artifact-dir` attaches the on-disk tier below it.
+    // served warm, and `--incremental` attaches the artifact store below it.
     let mut cache = SessionCache::with_analyzer(Analyzer::new());
-    if let Some(dir) = &cli.artifact_dir {
-        cache = cache.artifact_store(PreparedStore::open(dir.clone()));
+    if cli.incremental {
+        let dir = store_dir(cli).map_or_else(|| PathBuf::from(DEFAULT_SESSION_DIR), Clone::clone);
+        cache = cache.artifact_store(PreparedStore::open(dir));
+        if let Some(bytes) = cli.max_session_bytes {
+            cache = cache.max_session_bytes(bytes);
+        }
     }
     let sessions = CacheSession::new(cache);
-    let outputs = map_files(cli, &files, |path| {
-        analyze_one(cli, path, session.as_ref(), &sessions)
-    })?;
+    let outputs = map_files(cli, &files, |path| analyze_one(cli, path, &sessions))?;
     print_analyze_outputs(cli, &outputs);
     Ok(0)
 }
@@ -868,14 +795,9 @@ fn cmd_compare(cli: &Cli) -> Result<u8, String> {
         kind: PanelKind::Comparison,
         cache_lines: cli.cache_lines,
     };
-    let report = run_bundle_slice(
-        &bundle,
-        range,
-        panel,
-        effective_jobs(cli),
-        &ExecMode::InProcess,
-    )
-    .map_err(|e| e.to_string())?;
+    let report = run_bundle_slice(&bundle, range, panel, effective_jobs(cli), None)
+        .map_err(|e| e.to_string())?
+        .report;
     outln!("{}", service::scan_output(&report, cli.json));
     Ok(0)
 }
@@ -968,64 +890,20 @@ fn cmd_scan(cli: &Cli) -> Result<u8, String> {
     panel.configs().map_err(|err| err.to_string())?;
     let jobs = effective_jobs(cli);
     echo_jobs(cli, jobs);
-    let report = match &cli.session_dir {
-        Some(dir) => {
-            // `--shard` is rejected with `--session-dir` at parse time, so
-            // the slice is always the whole bundle here.  Incremental scans
-            // always analyse in-process, through one shared session front:
-            // misses are the exception, and worker subprocesses could not
-            // share its warm tiers anyway.
-            let session = ScanSession::new(dir);
-            let outcome = scan_bundle_incremental(&bundle, panel, jobs, &session)
-                .map_err(|err| err.to_string())?;
-            eprintln!(
-                "session: {} program(s) reused, {} analysed ({})",
-                outcome.reused,
-                outcome.analyzed,
-                session.dir().display()
-            );
-            if let Some(err) = outcome.store_error {
-                // Losing the warm start must not cost the leak verdict.
-                eprintln!(
-                    "session: warning: cannot persist session in {}: {err}",
-                    session.dir().display()
-                );
-            }
-            outcome.report
-        }
-        None => {
-            let mode = if cli.in_process {
-                ExecMode::InProcess
-            } else {
-                let worker_exe = std::env::current_exe()
-                    .map_err(|err| format!("cannot locate the specan executable: {err}"))?;
-                ExecMode::Subprocess { worker_exe }
-            };
-            run_bundle_slice(&bundle, range, panel, jobs, &mode).map_err(|err| err.to_string())?
-        }
-    };
+    let store = store_dir(cli);
+    let outcome = run_bundle_slice(&bundle, range, panel, jobs, store.map(PreparedStore::open))
+        .map_err(|err| err.to_string())?;
+    if let Some(dir) = store {
+        eprintln!(
+            "session: {} program(s) reused, {} analysed ({})",
+            outcome.reused,
+            outcome.analyzed,
+            dir.display()
+        );
+    }
+    let report = outcome.report;
     outln!("{}", service::scan_output(&report, cli.json));
     Ok(if report.any_leak() { EXIT_LEAK } else { 0 })
-}
-
-fn cmd_worker(cli: &Cli) -> Result<u8, String> {
-    let spec_json = match cli.shard_json.as_deref().expect("validated by parse_args") {
-        // `-` means stdin — the parent pipes the spec through it because a
-        // large shard would not fit in an argv string.
-        "-" => {
-            use std::io::Read as _;
-            let mut input = String::new();
-            std::io::stdin()
-                .read_to_string(&mut input)
-                .map_err(|err| format!("cannot read the shard spec from stdin: {err}"))?;
-            input
-        }
-        inline => inline.to_string(),
-    };
-    let spec = ShardSpec::from_json(&spec_json).map_err(|err| err.to_string())?;
-    let report = run_shard(&spec).map_err(|err| err.to_string())?;
-    outln!("{}", report.to_json());
-    Ok(0)
 }
 
 /// `specan merge <reports.json...>`: the verified cross-machine fan-in of
@@ -1331,16 +1209,13 @@ fn cmd_submit(args: &[String]) -> Result<u8, String> {
                 .to_string(),
         );
     }
-    if cli.incremental || cli.session_dir.is_some() {
-        return Err(
-            "sessions live inside the server: drop `--incremental`/`--session-dir`".to_string(),
-        );
+    if cli.incremental || store_dir(&cli).is_some() {
+        return Err("sessions live inside the server: drop \
+             `--incremental`/`--artifact-dir`/`--session-dir`"
+            .to_string());
     }
     if cli.jobs.is_some() {
         return Err("`--jobs` is the server's knob (`specan serve --jobs N`)".to_string());
-    }
-    if cli.in_process {
-        return Err("`--in-process` does not apply over the wire".to_string());
     }
     let (bundle, range) = select_bundle(&cli)?;
     let files = bundle[range].to_vec();
@@ -1549,7 +1424,6 @@ fn main() -> ExitCode {
         Command::Serve => cmd_serve(&cli),
         Command::Gateway => cmd_gateway(&cli),
         Command::Artifacts => cmd_artifacts(&cli),
-        Command::Worker => cmd_worker(&cli),
     };
     match outcome {
         Ok(code) => ExitCode::from(code),

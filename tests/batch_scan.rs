@@ -1,5 +1,5 @@
 //! End-to-end tests of the batch layer through the `specan` binary: the
-//! `scan` and `worker` subcommands, subprocess sharding, merged-report
+//! `scan` subcommand, thread and `--shard K/N` slicing, merged-report
 //! determinism and the bundle flags on `analyze`/`compare`.
 
 use std::process::{Command, Output};
@@ -28,6 +28,10 @@ fn scan_exits_one_iff_any_program_leaks() {
     let stdout = stdout_of(&out);
     assert!(stdout.contains("\"program\": \"cold_lookup\""));
     assert!(stdout.contains("\"leak\": true"));
+    // The always-leaky program is the *only* leak: the constant-time
+    // program (and the victim, clean at 512 lines) must not be flagged.
+    assert!(stdout.contains("\"program\": \"ct_sbox\""));
+    assert!(stdout.contains("\"leaks\": 1"), "{stdout}");
 
     // A clean-only bundle exits 0.
     let out = specan(&["scan", CT_SBOX, "--json"]);
@@ -37,35 +41,40 @@ fn scan_exits_one_iff_any_program_leaks() {
 
 #[test]
 fn sharded_scan_is_bit_identical_to_the_in_order_run() {
-    // The in-order single-process reference: one shard, no subprocesses.
-    let reference = specan(&[
-        "scan",
-        PROGRAMS_DIR,
-        "--json",
-        "--jobs",
-        "1",
-        "--in-process",
-    ]);
+    // The in-order reference: one thread, one slice.
+    let reference = specan(&["scan", PROGRAMS_DIR, "--json", "--jobs", "1"]);
     assert_eq!(reference.status.code(), Some(1));
     let reference = stdout_of(&reference);
     assert!(
         reference.matches("\"program\":").count() >= 3,
         "the example bundle must hold at least three programs"
     );
-    // Worker subprocesses, various shard counts, and in-process threads all
-    // merge to the same bytes.
-    for extra in [
-        &["--jobs", "2"][..],
-        &["--jobs", "3"][..],
-        &["--jobs", "16"][..],
-        &["--jobs", "2", "--in-process"][..],
-    ] {
-        let mut args = vec!["scan", PROGRAMS_DIR, "--json"];
-        args.extend_from_slice(extra);
-        let out = specan(&args);
-        assert_eq!(out.status.code(), Some(1), "{extra:?}");
-        assert_eq!(stdout_of(&out), reference, "{extra:?} diverged");
+    // Any thread count gives the same bytes...
+    for jobs in ["2", "3"] {
+        let out = specan(&["scan", PROGRAMS_DIR, "--json", "--jobs", jobs]);
+        assert_eq!(out.status.code(), Some(1), "--jobs {jobs}");
+        assert_eq!(stdout_of(&out), reference, "--jobs {jobs} diverged");
     }
+    // ...and so does any `--shard K/N` slicing, merged back.
+    let dir = std::env::temp_dir().join(format!("specan-batch-scan-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for n in 1..=3 {
+        let mut slices = Vec::new();
+        for k in 1..=n {
+            let shard = format!("{k}/{n}");
+            let out = specan(&["scan", PROGRAMS_DIR, "--json", "--shard", &shard]);
+            assert!(matches!(out.status.code(), Some(0 | 1)), "--shard {shard}");
+            let path = dir.join(format!("slice-{k}-of-{n}.json"));
+            std::fs::write(&path, &out.stdout).unwrap();
+            slices.push(path.display().to_string());
+        }
+        let mut args = vec!["merge", "--json"];
+        args.extend(slices.iter().map(String::as_str));
+        let merged = specan(&args);
+        assert_eq!(merged.status.code(), Some(1), "{n} slices");
+        assert_eq!(stdout_of(&merged), reference, "{n} merged slices diverged");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -168,65 +177,6 @@ fn one_file_shard_slices_keep_the_bundle_schema() {
         "batch schema expected:\n{stdout}"
     );
     assert!(!stdout.contains("suite_elapsed_secs"));
-}
-
-#[test]
-fn worker_runs_one_shard_and_prints_its_report() {
-    let shard = format!(
-        "{{\"programs\": [{:?}, {:?}], \"panel\": {{\"kind\": \"comparison\", \"cache_lines\": 8}}}}",
-        COLD_LOOKUP, VICTIM
-    );
-    let out = specan(&["worker", "--shard-json", &shard]);
-    assert_eq!(
-        out.status.code(),
-        Some(0),
-        "workers always exit 0 on success"
-    );
-    let stdout = stdout_of(&out);
-    assert!(stdout.contains("\"program\": \"cold_lookup\""));
-    assert!(stdout.contains("\"program\": \"victim\""));
-    assert!(stdout.contains("\"label\": \"merge-at-rollback\""));
-    // The worker's output is exactly what the merger parses: no timing.
-    assert!(!stdout.contains("time_secs"));
-    assert!(!stdout.contains("suite_elapsed"));
-}
-
-#[test]
-fn worker_reads_the_shard_spec_from_stdin_with_dash() {
-    use std::io::Write as _;
-    use std::process::Stdio;
-    let mut child = Command::new(env!("CARGO_BIN_EXE_specan"))
-        .args(["worker", "--shard-json", "-"])
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("specan spawns");
-    child
-        .stdin
-        .take()
-        .unwrap()
-        .write_all(
-            format!(
-                "{{\"programs\": [{:?}], \"panel\": {{\"kind\": \"leak-check\", \"cache_lines\": 8}}}}",
-                VICTIM
-            )
-            .as_bytes(),
-        )
-        .unwrap();
-    let out = child.wait_with_output().expect("specan runs");
-    assert_eq!(out.status.code(), Some(0));
-    assert!(stdout_of(&out).contains("\"program\": \"victim\""));
-}
-
-#[test]
-fn worker_rejects_bad_input_with_exit_two() {
-    let out = specan(&["worker", "--shard-json", "not json"]);
-    assert_eq!(out.status.code(), Some(2));
-    let out = specan(&["worker", "--shard-json", "{\"programs\": [\"/nope.spec\"], \"panel\": {\"kind\": \"comparison\", \"cache_lines\": 8}}"]);
-    assert_eq!(out.status.code(), Some(2));
-    let out = specan(&["worker"]);
-    assert_eq!(out.status.code(), Some(2), "worker needs --shard-json");
 }
 
 #[test]

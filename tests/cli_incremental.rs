@@ -1,8 +1,8 @@
 //! End-to-end tests of the incremental CLI flows: `specan analyze
-//! --incremental` replays byte-identical output for unchanged programs, and
-//! `specan scan --session-dir` re-analyses only the programs whose
-//! structural fingerprints changed — with a merged report byte-identical to
-//! a fresh scan either way.
+//! --incremental` and `specan scan --session-dir` keep prepared programs in
+//! one artifact store, so unchanged programs load with their fixpoint
+//! rounds and edited ones re-solve only what the edit touched — with
+//! output equal to a fresh run after the timing strip either way.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -25,7 +25,7 @@ fn stderr_of(out: &Output) -> String {
 }
 
 /// Zeroes the timing fields of `analyze --json` output — the only
-/// non-deterministic bytes — mirroring what the CI gate's `sed` does.
+/// non-deterministic bytes.
 fn strip_timing(json: &str) -> String {
     let mut out = String::with_capacity(json.len());
     for line in json.lines() {
@@ -67,6 +67,18 @@ impl Drop for Scratch {
     }
 }
 
+/// The one-block edit the tests apply to `victim.spec`.
+fn edit_victim(dir: &Path) {
+    let path = dir.join("victim.spec");
+    let source = std::fs::read_to_string(&path).unwrap();
+    assert!(source.contains("load sbox[0]"), "fixture changed?");
+    std::fs::write(
+        &path,
+        source.replace("load sbox[0]", "load sbox[0]\n  load sbox[64]"),
+    )
+    .unwrap();
+}
+
 #[test]
 fn analyze_incremental_replays_and_tracks_edits() {
     let scratch = Scratch::new();
@@ -80,66 +92,50 @@ fn analyze_incremental_replays_and_tracks_edits() {
         "--session-dir",
         "session",
     ];
+    let fresh_args = ["analyze", "victim.spec", "--cache-lines", "8", "--json"];
 
     // Cold: analysed and stored.
     let first = specan_in(&scratch.0, &args);
     assert_eq!(first.status.code(), Some(0));
     assert!(stderr_of(&first).contains("session: analysed `victim.spec`"));
 
-    // Warm: replayed byte-for-byte (timing included — it is the stored
-    // rendering).
+    // Warm, in a second process: loaded from the store, and equal to a
+    // fresh session-free run after the timing strip.
     let second = specan_in(&scratch.0, &args);
     assert_eq!(second.status.code(), Some(0));
-    assert!(stderr_of(&second).contains("session: replayed `victim.spec`"));
-    assert_eq!(stdout_of(&first), stdout_of(&second));
-
-    // The replay equals a fresh session-free run after the timing strip.
-    let fresh = specan_in(
-        &scratch.0,
-        &["analyze", "victim.spec", "--cache-lines", "8", "--json"],
-    );
+    assert!(stderr_of(&second).contains("artifacts: loaded `victim.spec` from the store"));
+    let fresh = specan_in(&scratch.0, &fresh_args);
     assert_eq!(
         strip_timing(&stdout_of(&second)),
         strip_timing(&stdout_of(&fresh))
     );
 
-    // A flag change must not replay the stored rendering.
-    let other_flags = specan_in(
-        &scratch.0,
-        &[
-            "analyze",
-            "victim.spec",
-            "--cache-lines",
-            "8",
-            "--json",
-            "--baseline",
-            "--incremental",
-            "--session-dir",
-            "session",
-        ],
+    // A flag change reuses the stored program but must render the new
+    // configuration, not the stored one.
+    let mut baseline_args = args.to_vec();
+    baseline_args.push("--baseline");
+    let other_flags = specan_in(&scratch.0, &baseline_args);
+    let mut fresh_baseline = fresh_args.to_vec();
+    fresh_baseline.push("--baseline");
+    let fresh = specan_in(&scratch.0, &fresh_baseline);
+    assert_eq!(
+        strip_timing(&stdout_of(&other_flags)),
+        strip_timing(&stdout_of(&fresh))
     );
-    assert!(stderr_of(&other_flags).contains("session: analysed"));
 
     // Edit the file in place: re-analysed, and equal to fresh post-strip.
-    let source = std::fs::read_to_string(scratch.0.join("victim.spec")).unwrap();
-    std::fs::write(
-        scratch.0.join("victim.spec"),
-        source.replace("load sbox[0]", "load sbox[0]\n  load sbox[64]"),
-    )
-    .unwrap();
+    edit_victim(&scratch.0);
     let edited = specan_in(&scratch.0, &args);
     assert!(stderr_of(&edited).contains("session: analysed `victim.spec`"));
-    let fresh = specan_in(
-        &scratch.0,
-        &["analyze", "victim.spec", "--cache-lines", "8", "--json"],
-    );
+    assert!(!stderr_of(&edited).contains("artifacts: loaded"));
+    let fresh = specan_in(&scratch.0, &fresh_args);
     assert_eq!(
         strip_timing(&stdout_of(&edited)),
         strip_timing(&stdout_of(&fresh))
     );
     assert_ne!(
-        stdout_of(&edited),
-        stdout_of(&first),
+        strip_timing(&stdout_of(&edited)),
+        strip_timing(&stdout_of(&first)),
         "the edit must change the analysis output"
     );
 }
@@ -147,15 +143,8 @@ fn analyze_incremental_replays_and_tracks_edits() {
 #[test]
 fn scan_session_reuses_unchanged_programs_byte_identically() {
     let scratch = Scratch::new();
-    let session_args = [
-        "scan",
-        ".",
-        "--json",
-        "--in-process",
-        "--session-dir",
-        "session",
-    ];
-    let fresh_args = ["scan", ".", "--json", "--in-process"];
+    let session_args = ["scan", ".", "--json", "--session-dir", "session"];
+    let fresh_args = ["scan", ".", "--json"];
 
     let cold = specan_in(&scratch.0, &session_args);
     assert_eq!(cold.status.code(), Some(1), "cold_lookup leaks: exit 1");
@@ -169,9 +158,9 @@ fn scan_session_reuses_unchanged_programs_byte_identically() {
     assert_eq!(stdout_of(&cold), stdout_of(&fresh));
     assert_eq!(stdout_of(&warm), stdout_of(&fresh));
 
-    // Renames are structurally invisible: only labels change, everything
-    // replays, and the report still matches a fresh scan (whose output
-    // never contains block or region labels).
+    // Renames change no verdict, so the report still matches a fresh scan
+    // (whose output never contains block or region labels).  Store loads
+    // are name-exact, though: the renamed program is prepared again.
     let source = std::fs::read_to_string(scratch.0.join("ct_sbox.spec")).unwrap();
     assert!(source.contains("block main entry:"), "fixture changed?");
     std::fs::write(
@@ -182,20 +171,122 @@ fn scan_session_reuses_unchanged_programs_byte_identically() {
     )
     .unwrap();
     let renamed = specan_in(&scratch.0, &session_args);
-    assert!(stderr_of(&renamed).contains("session: 3 program(s) reused, 0 analysed"));
+    assert!(stderr_of(&renamed).contains("session: 2 program(s) reused, 1 analysed"));
     assert_eq!(stdout_of(&renamed), stdout_of(&fresh));
 
     // A real edit re-analyses exactly the touched program.
-    let source = std::fs::read_to_string(scratch.0.join("victim.spec")).unwrap();
-    std::fs::write(
-        scratch.0.join("victim.spec"),
-        source.replace("load sbox[0]", "load sbox[0]\n  load sbox[64]"),
-    )
-    .unwrap();
+    edit_victim(&scratch.0);
     let edited = specan_in(&scratch.0, &session_args);
+    assert_eq!(edited.status.code(), Some(1));
     assert!(stderr_of(&edited).contains("session: 2 program(s) reused, 1 analysed"));
     let fresh = specan_in(&scratch.0, &fresh_args);
     assert_eq!(stdout_of(&edited), stdout_of(&fresh));
+}
+
+/// Every file under `dir`, relative to it.
+fn files_under(dir: &Path) -> Vec<PathBuf> {
+    let mut files = Vec::new();
+    let mut pending = vec![dir.to_path_buf()];
+    while let Some(next) = pending.pop() {
+        for entry in std::fs::read_dir(&next).unwrap().flatten() {
+            let path = entry.path();
+            if path.is_dir() {
+                pending.push(path);
+            } else {
+                files.push(path.strip_prefix(dir).unwrap().to_path_buf());
+            }
+        }
+    }
+    files
+}
+
+#[test]
+fn edit_loop_command_lines_keep_their_shape() {
+    // The exact command lines, and the stderr lines read back, of the
+    // `perfbench` edit loop.
+    let scratch = Scratch::new();
+    let bundle = scratch.0.join("bundle");
+    std::fs::create_dir_all(&bundle).unwrap();
+    for name in ["victim.spec", "ct_sbox.spec", "cold_lookup.spec"] {
+        std::fs::rename(scratch.0.join(name), bundle.join(name)).unwrap();
+    }
+    let analyze = [
+        "analyze",
+        "--incremental",
+        "--json",
+        "--cache-lines",
+        "32",
+        "--session-dir",
+        "S",
+        "--artifact-dir",
+        "A",
+        "--max-session-bytes",
+        "20480",
+        "bundle/victim.spec",
+    ];
+    let fresh_analyze = [
+        "analyze",
+        "--json",
+        "--cache-lines",
+        "32",
+        "bundle/victim.spec",
+    ];
+    let scan = [
+        "scan",
+        "--json",
+        "--cache-lines",
+        "32",
+        "--session-dir",
+        "D",
+        "bundle",
+    ];
+    let fresh_scan = ["scan", "--json", "--cache-lines", "32", "bundle"];
+    let matches_fresh = |out: &Output, fresh: &[&str]| {
+        let fresh = specan_in(&scratch.0, fresh);
+        assert_eq!(out.status.code(), fresh.status.code());
+        assert_eq!(
+            strip_timing(&stdout_of(out)),
+            strip_timing(&stdout_of(&fresh))
+        );
+    };
+
+    let cold = specan_in(&scratch.0, &scan);
+    assert_eq!(cold.status.code(), Some(1));
+    assert!(stderr_of(&cold).contains("session: 0 program(s) reused, 3 analysed (D)"));
+    matches_fresh(&cold, &fresh_scan);
+
+    // Cold, then a re-save of the unchanged file, then a one-block edit.
+    let first = specan_in(&scratch.0, &analyze);
+    assert!(stderr_of(&first).contains("session: analysed `bundle/victim.spec`"));
+    matches_fresh(&first, &fresh_analyze);
+    let resaved = specan_in(&scratch.0, &analyze);
+    let log = stderr_of(&resaved);
+    assert!(log.contains("artifacts: loaded `bundle/victim.spec` from the store"));
+    assert!(log.contains("session: analysed `bundle/victim.spec`"));
+    matches_fresh(&resaved, &fresh_analyze);
+    edit_victim(&bundle);
+    let edited = specan_in(&scratch.0, &analyze);
+    let log = stderr_of(&edited);
+    assert!(log.contains("session: summaries "), "{log}");
+    assert!(log.contains("session: analysed `bundle/victim.spec`"));
+    matches_fresh(&edited, &fresh_analyze);
+
+    let rescan = specan_in(&scratch.0, &scan);
+    assert!(stderr_of(&rescan).contains("session: 2 program(s) reused, 1 analysed (D)"));
+    matches_fresh(&rescan, &fresh_scan);
+
+    // Everything persisted lives under the artifact directory (`A` wins
+    // over `S`) and the scan's store `D`.
+    for file in files_under(&scratch.0) {
+        assert!(
+            file.starts_with("A") || file.starts_with("D") || file.starts_with("bundle"),
+            "{} written outside A and D",
+            file.display()
+        );
+    }
+    assert!(!scratch.0.join("S").exists());
+    let bundle_files = files_under(&bundle).len();
+    assert_eq!(bundle_files, 3, "nothing is written into the bundle");
 }
 
 #[test]

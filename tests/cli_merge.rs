@@ -50,11 +50,16 @@ impl Scratch {
     /// Runs `scan programs --json` with `extra` flags, captures the report
     /// into `out`, and returns the exit code.
     fn scan(&self, out: &str, extra: &[&str]) -> i32 {
-        let mut args = vec!["scan", "programs", "--json", "--in-process"];
+        self.scan_logged(out, extra).0
+    }
+
+    /// [`Scratch::scan`], also returning the run's stderr.
+    fn scan_logged(&self, out: &str, extra: &[&str]) -> (i32, String) {
+        let mut args = vec!["scan", "programs", "--json"];
         args.extend_from_slice(extra);
         let output = specan_in(&self.0, &args);
-        std::fs::write(self.0.join(out), output.stdout).unwrap();
-        output.status.code().unwrap()
+        std::fs::write(self.0.join(out), &output.stdout).unwrap();
+        (output.status.code().unwrap(), stderr_of(&output))
     }
 }
 
@@ -139,4 +144,51 @@ fn merge_rejects_incomplete_overlapping_and_mismatched_slice_sets() {
     assert_eq!(out.status.code(), Some(2));
     let out = specan_in(&scratch.0, &["merge", "missing.json"]);
     assert_eq!(out.status.code(), Some(2));
+}
+
+#[test]
+fn slices_sharing_one_store_merge_to_the_unsharded_report() {
+    // Two machines' slices may share one artifact store: each slice's
+    // programs land in it, and the slices still merge to the unsharded
+    // report byte for byte.
+    let scratch = Scratch::new();
+    assert_eq!(scratch.scan("full.json", &[]), 1, "cold_lookup leaks");
+    let slice = |k: usize| {
+        let shard = format!("{k}/2");
+        scratch.scan_logged(
+            &format!("s{k}.json"),
+            &["--shard", &shard, "--session-dir", "store"],
+        )
+    };
+    let (code, log) = slice(1);
+    assert_eq!(code, 1, "cold_lookup lives in slice 1");
+    assert!(
+        log.contains("session: 0 program(s) reused, 2 analysed"),
+        "{log}"
+    );
+    let (code, log) = slice(2);
+    assert_eq!(code, 0, "victim is clean at 512 lines");
+    assert!(
+        log.contains("session: 0 program(s) reused, 1 analysed"),
+        "{log}"
+    );
+    let merged = specan_in(&scratch.0, &["merge", "s1.json", "s2.json", "--json"]);
+    assert_eq!(merged.status.code(), Some(1));
+    let full = std::fs::read_to_string(scratch.0.join("full.json")).unwrap();
+    assert_eq!(stdout_of(&merged), full, "merge must be byte-identical");
+
+    // A re-run of each slice loads every one of its programs from the
+    // store, and still merges to the same bytes.
+    let (_, log) = slice(1);
+    assert!(
+        log.contains("session: 2 program(s) reused, 0 analysed"),
+        "{log}"
+    );
+    let (_, log) = slice(2);
+    assert!(
+        log.contains("session: 1 program(s) reused, 0 analysed"),
+        "{log}"
+    );
+    let merged = specan_in(&scratch.0, &["merge", "s2.json", "s1.json", "--json"]);
+    assert_eq!(stdout_of(&merged), full);
 }

@@ -99,7 +99,7 @@ fn warm_server_responses_match_fresh_one_shot_runs() {
 
         // scan: reports are timing-free, so the comparison is exact — and
         // the exit code (leak gate) must agree too.
-        let fresh = specan(&["scan", &dir, "--cache-lines", "8", "--json", "--in-process"]);
+        let fresh = specan(&["scan", &dir, "--cache-lines", "8", "--json"]);
         let served = server.submit(&["scan", &dir, "--cache-lines", "8", "--json"]);
         assert_eq!(
             served.status.code(),
@@ -174,6 +174,12 @@ fn submit_rejects_flags_that_cannot_travel() {
     assert_eq!(out.status.code(), Some(2));
     let out = server.submit(&["scan", ".", "--jobs", "4"]);
     assert_eq!(out.status.code(), Some(2));
+    let out = server.submit(&["scan", ".", "--session-dir", "s"]);
+    assert_eq!(
+        out.status.code(),
+        Some(2),
+        "the store lives inside the server"
+    );
     let out = server.submit(&["leaks", "x.spec"]);
     assert_eq!(out.status.code(), Some(2), "leaks is not served");
 }
