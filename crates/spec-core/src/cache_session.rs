@@ -1,11 +1,9 @@
 //! The one caller-facing entry point of the tiered session caches.
 //!
-//! [`crate::incremental::SessionCache`] grew organically into eight public
-//! methods that every holder — the analysis service, `specan analyze
-//! --incremental`, `specan scan --session-dir` — sequenced by hand:
-//! lookup, compare names, prepare, install, persist, enforce.  This module
-//! replaces that sprawl with a single acquire/commit protocol wrapped
-//! around the whole tier stack, and makes the warm path **lock-free**:
+//! Every holder — the analysis service, `specan analyze --incremental`,
+//! `specan scan --session-dir` — resolves prepared programs through one
+//! acquire/commit protocol wrapped around the whole tier stack, and the
+//! warm path is **lock-free**:
 //!
 //! ```text
 //!   L0  per-worker thread-local LRU of pinned Arc handles   (no lock)
@@ -18,9 +16,9 @@
 //! the tier that answered), a miss hands back a [`PrepareGuard`] that
 //! holds **no lock** — the expensive [`Analyzer::prepare`] provably runs
 //! outside any critical section, and [`PrepareGuard::commit`] installs the
-//! result under the lock afterwards.  Misuse the old surface permitted
-//! (installing without looking up, forgetting the name check, enforcing
-//! the budget before persisting) is unrepresentable here.
+//! result under the lock afterwards.  Installing without looking up,
+//! forgetting the name check, or enforcing the budget before persisting
+//! cannot be expressed.
 //!
 //! # The L0 tier and generation invalidation
 //!
@@ -28,9 +26,9 @@
 //! fingerprint) → Arc<PreparedProgram>` handles per session front,
 //! following the two-tier decision-cache shape of Ferrous-DNS: reads
 //! touch thread-local state only, and a monotonic **generation counter**
-//! (bumped by the `SessionCache` on every entry replacement, budget
-//! eviction and removal) invalidates every worker's L0 wholesale on the
-//! next acquire — no cross-thread coordination, no per-entry messaging.
+//! (bumped by the `SessionCache` on every entry replacement and budget
+//! eviction) invalidates every worker's L0 wholesale on the next
+//! acquire — no cross-thread coordination, no per-entry messaging.
 //!
 //! Generations bound *memory*, not correctness: analysis results are pure
 //! functions of the program, so even a handle the L1 already evicted
@@ -43,9 +41,11 @@
 //!
 //! # Accounting
 //!
+//! [`CacheSession::stats`] (and [`CacheSession::checkpoint`]) is the one
+//! snapshot: a [`SessionStats`] with the table's counters and the front's.
 //! Every acquire lands in exactly one counter — `l0_hits`, `l1_hits`,
 //! `store_hits`, `prepares` (committed guards) or `abandoned` (dropped
-//! guards) — so at quiescence [`AcquireStats::reconciles`] holds:
+//! guards) — so at quiescence [`SessionStats::reconciles`] holds:
 //! `l0 + l1 + store + prepares + abandoned == acquires`.  The property
 //! suite in `tests/cache_session.rs` pins both that ledger and the
 //! cross-worker staleness guarantee.
@@ -62,7 +62,7 @@ use spec_telemetry::{Histogram, Registry};
 
 use crate::artifact::PreparedStore;
 use crate::incremental::{SessionCache, SessionStats, SessionTier};
-use crate::session::{Analyzer, CacheStats, PreparedProgram};
+use crate::session::{Analyzer, PreparedProgram};
 
 /// How many prepared handles one worker thread pins per session front.
 /// Small on purpose: the L0 exists to strip the lock from the steady-state
@@ -100,34 +100,6 @@ struct L0Entry {
 /// survivors re-prepare cold, which is slow and correct.
 pub(crate) fn relock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Lifetime acquire counters of one [`CacheSession`] — which tier answered.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct AcquireStats {
-    /// Total [`CacheSession::acquire`]/[`CacheSession::acquire_structural`]
-    /// calls.
-    pub acquires: u64,
-    /// Acquires answered from the calling thread's L0, without the lock.
-    pub l0_hits: u64,
-    /// Acquires answered by the shared in-memory L1 under the lock.
-    pub l1_hits: u64,
-    /// Acquires answered by deserializing from the on-disk store tier.
-    pub store_hits: u64,
-    /// Guards committed: cold (or renamed) preparations installed.
-    pub prepares: u64,
-    /// Guards dropped uncommitted (an error between acquire and commit).
-    pub abandoned: u64,
-}
-
-impl AcquireStats {
-    /// The ledger invariant: every acquire is accounted to exactly one
-    /// tier or guard outcome.  Holds whenever no [`PrepareGuard`] is
-    /// currently in flight.
-    pub fn reconciles(&self) -> bool {
-        self.l0_hits + self.l1_hits + self.store_hits + self.prepares + self.abandoned
-            == self.acquires
-    }
 }
 
 /// What [`CacheSession::acquire`] resolved, tier-tagged.
@@ -202,7 +174,7 @@ impl TierTelemetry {
 /// caller is *outside* every session lock, with [`PrepareGuard::commit`]
 /// as the only way back in.  Dropping the guard without committing is
 /// legal (the request failed before preparing) and counted as
-/// [`AcquireStats::abandoned`].
+/// [`SessionStats::abandoned`].
 pub struct PrepareGuard<'a> {
     session: &'a CacheSession,
     renamed: bool,
@@ -271,10 +243,11 @@ struct SessionFront {
     /// carrying holders (the service); `get()` on the hot path is one
     /// relaxed load.
     telemetry: OnceLock<TierTelemetry>,
+    /// The front's share of the [`SessionStats`] ledger; store hits are
+    /// counted by the table, under its lock.
     acquires: AtomicU64,
     l0_hits: AtomicU64,
     l1_hits: AtomicU64,
-    store_hits: AtomicU64,
     prepares: AtomicU64,
     abandoned: AtomicU64,
 }
@@ -308,7 +281,6 @@ impl CacheSession {
                 acquires: AtomicU64::new(0),
                 l0_hits: AtomicU64::new(0),
                 l1_hits: AtomicU64::new(0),
-                store_hits: AtomicU64::new(0),
                 prepares: AtomicU64::new(0),
                 abandoned: AtomicU64::new(0),
             }),
@@ -357,7 +329,10 @@ impl CacheSession {
         // lock, so the value stamps exactly the state the handle came from.
         let (hit, stamped) = {
             let mut cache = relock(&self.inner.cache);
-            (cache.lookup_tiered(program), cache.generation())
+            (
+                cache.lookup_tiered(program, fingerprint),
+                cache.generation(),
+            )
         };
         match hit {
             Some((prepared, tier)) => {
@@ -379,7 +354,6 @@ impl CacheSession {
                         CacheOutcome::WarmHit(prepared)
                     }
                     SessionTier::Store => {
-                        self.inner.store_hits.fetch_add(1, Ordering::Relaxed);
                         if let Some(telemetry) = self.inner.telemetry.get() {
                             telemetry.store.record(started.elapsed());
                         }
@@ -518,31 +492,15 @@ impl CacheSession {
         }
     }
 
-    /// The wrapped cache's lifetime counters with the front's L0/L1 tier
-    /// hits overlaid — the complete ledger.
+    /// The one ledger: the wrapped cache's lifetime counters with the
+    /// front's acquire, tier-hit and guard counters added.
     pub fn stats(&self) -> SessionStats {
         self.overlay(relock(&self.inner.cache).stats())
     }
 
-    /// Aggregated artifact-cache counters across every resident program,
-    /// with the front's tier hits overlaid.
-    pub fn cache_stats(&self) -> CacheStats {
-        let mut stats = relock(&self.inner.cache).cache_stats();
-        stats.l0_hits = self.inner.l0_hits.load(Ordering::Relaxed);
-        stats.l1_hits = self.inner.l1_hits.load(Ordering::Relaxed);
-        stats
-    }
-
-    /// This front's acquire ledger (see [`AcquireStats::reconciles`]).
-    pub fn acquire_stats(&self) -> AcquireStats {
-        AcquireStats {
-            acquires: self.inner.acquires.load(Ordering::Relaxed),
-            l0_hits: self.inner.l0_hits.load(Ordering::Relaxed),
-            l1_hits: self.inner.l1_hits.load(Ordering::Relaxed),
-            store_hits: self.inner.store_hits.load(Ordering::Relaxed),
-            prepares: self.inner.prepares.load(Ordering::Relaxed),
-            abandoned: self.inner.abandoned.load(Ordering::Relaxed),
-        }
+    /// The summed summary hits of every L1-resident program.
+    pub(crate) fn summary_hits(&self) -> u64 {
+        relock(&self.inner.cache).summary_hits()
     }
 
     /// The current invalidation generation — lock-free.
@@ -578,10 +536,16 @@ impl CacheSession {
         relock(&self.inner.cache).resident_bytes()
     }
 
-    fn overlay(&self, mut stats: SessionStats) -> SessionStats {
-        stats.l0_hits = self.inner.l0_hits.load(Ordering::Relaxed);
-        stats.l1_hits = self.inner.l1_hits.load(Ordering::Relaxed);
-        stats
+    fn overlay(&self, stats: SessionStats) -> SessionStats {
+        let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+        SessionStats {
+            acquires: load(&self.inner.acquires),
+            l0_hits: load(&self.inner.l0_hits),
+            l1_hits: load(&self.inner.l1_hits),
+            prepares: load(&self.inner.prepares),
+            abandoned: load(&self.inner.abandoned),
+            ..stats
+        }
     }
 }
 
@@ -618,16 +582,14 @@ mod tests {
         };
         assert!(Arc::ptr_eq(&hit, &prepared));
 
-        let stats = session.acquire_stats();
+        let stats = session.stats();
         assert_eq!(
             (stats.acquires, stats.l0_hits, stats.prepares),
             (2, 1, 1),
             "{stats:?}"
         );
         assert!(stats.reconciles());
-        let session_stats = session.stats();
-        assert_eq!(session_stats.l0_hits, 1);
-        assert_eq!(session_stats.inserted, 1);
+        assert_eq!(stats.inserted, 1);
     }
 
     #[test]
@@ -647,7 +609,7 @@ mod tests {
                 assert!(matches!(session.acquire(&p), CacheOutcome::L0Hit(_)));
             });
         });
-        let stats = session.acquire_stats();
+        let stats = session.stats();
         assert_eq!((stats.l0_hits, stats.l1_hits, stats.prepares), (1, 1, 1));
         assert!(stats.reconciles());
     }
@@ -668,8 +630,8 @@ mod tests {
             matches!(second.acquire(&p), CacheOutcome::NeedsPrepare(_)),
             "a sibling front must not see the other's L0 seed"
         );
-        assert_eq!(second.acquire_stats().abandoned, 1, "dropped guard counts");
-        assert!(second.acquire_stats().reconciles());
+        assert_eq!(second.stats().abandoned, 1, "dropped guard counts");
+        assert!(second.stats().reconciles());
     }
 
     #[test]

@@ -4,25 +4,26 @@
 //! program; this module amortizes them across *edits* of a workload.  The
 //! paper's evaluation — and any tool living inside a developer's
 //! modify-and-recheck loop — analyses the same programs over and over as
-//! the code evolves, and before this module every edit threw the whole
-//! session away.
+//! the code evolves.
 //!
-//! [`SessionCache`] is built on the structural fingerprints of
-//! [`spec_ir::fingerprint`].  It holds one
-//! [`PreparedProgram`] per program name; [`SessionCache::update`]
-//! fingerprints the newly parsed program and either **rebinds** the
-//! previous session wholesale (fingerprint unchanged: every memoized
-//! unroll variant, address map, VCFG and fixpoint round survives) or
-//! re-prepares it, reporting *where* the program changed as a
-//! [`ProgramDiff`] and rebinding the address maps whenever the edit left
-//! the region table untouched (the memory layout is a pure function of the
-//! regions).  In a multi-program session, editing one program leaves every
-//! other program's artifacts bound — the [`SessionStats`] counters prove
-//! it.  A long-lived holder bounds the session with
-//! [`SessionCache::max_session_bytes`]: resident entries are byte-accounted
-//! through [`spec_ir::heap::HeapSize`] and whole programs are evicted
-//! least-recently-used first, which trades re-preparation for memory but
-//! never changes a result.
+//! [`SessionCache`] is the shared table behind a [`CacheSession`]: one
+//! [`PreparedProgram`] per program name, matched by the structural
+//! fingerprints of [`spec_ir::fingerprint`].  Its public surface is the
+//! builders that configure the front ([`SessionCache::new`],
+//! [`SessionCache::with_analyzer`], [`SessionCache::artifact_store`],
+//! [`SessionCache::max_session_bytes`]); every resolve goes through
+//! [`CacheSession::acquire`].  An unchanged program is served warm, with
+//! every memoized unroll variant, address map, VCFG and fixpoint round.  An
+//! edited or renamed program misses, and its commit re-prepares it: when
+//! the region table is structurally unchanged, the new session adopts the
+//! replaced entry's address maps and takes its fixpoint summaries as
+//! per-block seeds (unchanged blocks transplant their converged states;
+//! edited blocks and their transitive dependents re-solve — see
+//! `spec_core::summary`).  Editing one program of a multi-program session
+//! leaves every other program's artifacts bound.  A byte budget
+//! ([`SessionCache::max_session_bytes`]) evicts whole programs, least
+//! recently used first, which trades re-preparation for memory but never
+//! changes a result.
 //!
 //! Across processes, the one persistent form is the artifact store
 //! ([`SessionCache::artifact_store`]): misses load prepared sessions, with
@@ -36,20 +37,24 @@
 //! Every reuse path returns results that serialize to **exactly the bytes**
 //! a fresh analysis would produce, once the execution-describing fields
 //! (wall clocks and cache counters, see [`Report::without_timing`]) are
-//! stripped: rebinding reuses values that are pure functions of the
+//! stripped: a warm hit reuses values that are pure functions of the
 //! (structurally unchanged) program, and recomputation shares the one
 //! deterministic solver with the fresh path.  The `incremental_equivalence`
 //! property suite and the `cli_incremental` tests hold this line.
 //!
 //! [`Report::without_timing`]: crate::session::Report::without_timing
+//! [`CacheSession`]: crate::cache_session::CacheSession
+//! [`CacheSession::acquire`]: crate::cache_session::CacheSession::acquire
 //!
 //! # Example
 //!
 //! ```rust
+//! use spec_core::cache_session::{CacheOutcome, CacheSession};
 //! use spec_core::incremental::SessionCache;
 //! use spec_core::session::comparison_configs;
 //! use spec_cache::CacheConfig;
 //! use spec_ir::builder::ProgramBuilder;
+//! use spec_ir::fingerprint::ProgramDiff;
 //! use spec_ir::IndexExpr;
 //!
 //! let build = |offset| {
@@ -61,28 +66,39 @@
 //!     b.finish().unwrap()
 //! };
 //!
-//! let mut session = SessionCache::new();
+//! let sessions = CacheSession::new(SessionCache::new());
 //! let configs = comparison_configs(CacheConfig::fully_associative(4, 64));
-//! let first = session.update(&build(0));
-//! first.prepared.run_suite(&configs);
-//! // Re-parsing an unchanged program rebinds the whole session...
-//! assert!(session.update(&build(0)).reused);
-//! // ...while an edit re-prepares it and localises the change.
-//! let edited = session.update(&build(64));
-//! assert!(!edited.reused);
-//! assert_eq!(edited.diff.unwrap().changed_blocks.len(), 1);
+//! let first = build(0);
+//! let CacheOutcome::NeedsPrepare(guard) = sessions.acquire(&first) else {
+//!     unreachable!("an empty session misses");
+//! };
+//! let prepared = guard.prepare(&first);
+//! prepared.run_suite(&configs);
+//! // Re-parsing an unchanged program is served warm, rounds included...
+//! assert!(matches!(sessions.acquire(&build(0)), CacheOutcome::L0Hit(_)));
+//! // ...while an edit misses and re-prepares; the diff localises it.
+//! let edited = build(64);
+//! let diff = ProgramDiff::between(prepared.program(), &edited);
+//! assert_eq!(diff.changed_blocks.len(), 1);
+//! let CacheOutcome::NeedsPrepare(guard) = sessions.acquire(&edited) else {
+//!     unreachable!("an edit misses");
+//! };
+//! guard.prepare(&edited).run_suite(&configs);
+//! let stats = sessions.stats();
+//! assert_eq!((stats.inserted, stats.invalidated), (1, 1));
+//! assert!(stats.reconciles());
 //! ```
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use spec_ir::fingerprint::{program_fingerprint, regions_fingerprint, Fingerprint, ProgramDiff};
+use spec_ir::fingerprint::{regions_fingerprint, Fingerprint};
 use spec_ir::heap::HeapSize;
 use spec_ir::Program;
 
 use crate::artifact::PreparedStore;
-use crate::session::{Analyzer, CacheStats, PreparedProgram};
+use crate::session::{Analyzer, PreparedProgram};
 
 /// Sentinel for "never measured/persisted at any stamp".
 const STAMP_NEVER: u64 = u64::MAX;
@@ -159,40 +175,55 @@ impl SessionEntry {
 
 /// Which tier served a [`SessionCache::lookup_tiered`] hit.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SessionTier {
+pub(crate) enum SessionTier {
     /// The in-memory entry table (a warm reuse).
     Memory,
     /// The on-disk artifact store (deserialized, now resident in memory).
     Store,
 }
 
-/// Lifetime counters of a [`SessionCache`] — the evidence that an edit to
-/// one program did not disturb the others.
+/// The one ledger of a session: the lifetime counters of a
+/// [`SessionCache`] and of the [`CacheSession`] front over it, snapshotted
+/// together by [`CacheSession::stats`] and [`CacheSession::checkpoint`].
+/// Each event is counted once: the table counts structural matches,
+/// installs, evictions and store traffic under its lock, and the front
+/// counts acquires, L0 and L1 hits and guard outcomes.
+///
+/// [`CacheSession`]: crate::cache_session::CacheSession
+/// [`CacheSession::stats`]: crate::cache_session::CacheSession::stats
+/// [`CacheSession::checkpoint`]: crate::cache_session::CacheSession::checkpoint
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SessionStats {
-    /// Updates that rebound an existing session wholesale (fingerprint
-    /// unchanged — renames and formatting included).
+    /// Structural L1 matches: acquires whose program name and structural
+    /// fingerprint matched a resident entry.  Renamed misses (a name-exact
+    /// acquire that found the structure under other names and then
+    /// re-prepared) are included; L0 hits are not.
     pub reused: u64,
-    /// Updates that re-prepared a program because its structure changed.
+    /// Installs that replaced a resident entry under the same name: an
+    /// edited or renamed program re-prepared, or an older version loaded
+    /// back from the store.
     pub invalidated: u64,
-    /// Updates that introduced a program the session had not seen.
+    /// Installs under a name with no resident entry: cold commits and
+    /// store loads.
     pub inserted: u64,
-    /// Address-map tables rebound across an invalidation because the edit
-    /// left the region table structurally unchanged.
+    /// Address-map tables a re-prepared program adopted from the entry it
+    /// replaced, or from its store-tier predecessor, because the edit left
+    /// the region table structurally unchanged.
     pub amaps_adopted: u64,
     /// Whole [`PreparedProgram`]s evicted by the byte budget
     /// ([`SessionCache::max_session_bytes`]), least recently used first.
     /// Replacements of an entry under the same name are *not* evictions —
-    /// so `inserted - session_evictions` (minus explicit removals) is the
-    /// number of resident entries, the invariant the eviction-equivalence
-    /// suite reconciles.
+    /// so `inserted - session_evictions` is the number of resident
+    /// entries, the invariant the eviction-equivalence suite reconciles.
     pub session_evictions: u64,
     /// Resident bytes at snapshot time: the summed [`HeapSize`] estimate
     /// of every held entry.  After an enforcement point this never exceeds
     /// the configured budget.
     pub session_bytes: u64,
-    /// Cache misses answered by deserializing a prepared session from the
-    /// on-disk artifact store instead of a cold preparation.
+    /// Acquires answered by deserializing a prepared session from the
+    /// on-disk artifact store: one per [`CacheOutcome::StoreHit`].
+    ///
+    /// [`CacheOutcome::StoreHit`]: crate::cache_session::CacheOutcome::StoreHit
     pub store_hits: u64,
     /// Store lookups that found no usable artifact (missing file, rejected
     /// file, or a fingerprint collision under different names) and fell
@@ -201,50 +232,55 @@ pub struct SessionStats {
     /// Total payload bytes deserialized across every store hit.
     pub store_loaded_bytes: u64,
     /// Acquires served from a worker's thread-local L0 tier without taking
-    /// the session lock (see [`crate::cache_session::CacheSession`]).  Zero
-    /// for sessions driven directly, without a `CacheSession` front.
+    /// the session lock.
     pub l0_hits: u64,
-    /// Acquires served by the shared in-memory L1 tier (a warm rebind under
-    /// the lock) through a `CacheSession`.  Zero for directly driven
-    /// sessions, whose warm rebinds count as [`SessionStats::reused`] only.
+    /// Acquires served warm by the shared in-memory L1 tier: structural
+    /// matches whose names also matched when the acquire was name-exact.
     pub l1_hits: u64,
     /// The session's invalidation generation at snapshot time: bumped on
-    /// every entry replacement (edit-driven re-prepare or rename install),
-    /// budget eviction and removal, so lock-free L0 tiers can detect that
-    /// their pinned handles may be stale without cross-thread coordination.
+    /// every entry replacement and budget eviction, so lock-free L0 tiers
+    /// can detect that their pinned handles may be stale without
+    /// cross-thread coordination.
     pub generation: u64,
+    /// Acquires of any kind, name-exact and structural.
+    pub acquires: u64,
+    /// Miss guards committed: cold or renamed preparations installed.
+    pub prepares: u64,
+    /// Miss guards dropped uncommitted (an error between acquire and
+    /// commit).
+    pub abandoned: u64,
 }
 
-/// What [`SessionCache::update`] did for one program.
-pub struct SessionUpdate {
-    /// The session to run configurations against — rebound or freshly
-    /// prepared.
-    pub prepared: Arc<PreparedProgram>,
-    /// `true` iff the previous session survived the update wholesale.
-    pub reused: bool,
-    /// Where the program changed relative to the previous snapshot.
-    /// `None` for programs the session had not seen before; for reused
-    /// updates the diff exists and [`ProgramDiff::is_identical`] holds.
-    pub diff: Option<ProgramDiff>,
+impl SessionStats {
+    /// The ledger invariant: every acquire is accounted to exactly one
+    /// tier or guard outcome, `l0 + l1 + store + prepares + abandoned ==
+    /// acquires`.  Holds whenever no miss guard is in flight.
+    pub fn reconciles(&self) -> bool {
+        self.l0_hits + self.l1_hits + self.store_hits + self.prepares + self.abandoned
+            == self.acquires
+    }
 }
 
 /// A multi-program analysis session that survives edits: prepared artifacts
 /// are invalidated per program, by structural fingerprint, instead of being
-/// discarded with every re-parse.  See the module docs.
+/// discarded with every re-parse.  Configure it with the builders, then
+/// wrap it in a [`CacheSession`] — see the module docs.
+///
+/// [`CacheSession`]: crate::cache_session::CacheSession
 pub struct SessionCache {
     analyzer: Analyzer,
     entries: HashMap<String, SessionEntry>,
     stats: SessionStats,
     /// Byte budget over the summed [`HeapSize`] estimates of every entry;
-    /// `None` is unbounded (the pre-budget behaviour).
+    /// `None` is unbounded.
     max_bytes: Option<u64>,
     /// Monotonic source of the entries' use ticks.
     tick: u64,
-    /// Invalidation generation, shared (via `Arc`) with any lock-free L0
-    /// tier fronting this cache.  Bumped on every entry replacement,
-    /// eviction and removal — the events after which an L0-pinned handle
-    /// may no longer match what this cache would serve.  Fresh-name inserts
-    /// do *not* bump: they cannot make any existing handle stale.
+    /// Invalidation generation, shared (via `Arc`) with the lock-free L0
+    /// tiers fronting this cache.  Bumped on every entry replacement and
+    /// eviction — the events after which an L0-pinned handle may no longer
+    /// match what this cache would serve.  Fresh-name inserts do *not*
+    /// bump: they cannot make any existing handle stale.
     generation: Arc<AtomicU64>,
     /// Coarse tick of the last [`SessionCache::enforce_budget`] pass that
     /// left the session within budget: `(entry count, summed growth
@@ -288,8 +324,8 @@ impl SessionCache {
 
     /// A shared handle on the invalidation generation, for lock-free L0
     /// tiers: reading it never takes the session lock, and a changed value
-    /// means some entry was replaced, evicted or removed since the reader
-    /// last synchronized.
+    /// means some entry was replaced or evicted since the reader last
+    /// synchronized.
     pub(crate) fn generation_handle(&self) -> Arc<AtomicU64> {
         Arc::clone(&self.generation)
     }
@@ -312,20 +348,18 @@ impl SessionCache {
     }
 
     /// Attaches an on-disk artifact store as a second tier below memory.
-    /// Misses consult the store before a cold preparation
-    /// ([`SessionCache::lookup_tiered`], [`SessionCache::update`]),
-    /// installs write through, and budget evictions persist dirty entries
-    /// before dropping them.  The store never changes results: a load is
-    /// accepted only when the decoded program compares equal to the
-    /// requested one, and every rejected or missing artifact falls back to
-    /// the cold path.
+    /// Misses consult the store before a cold preparation, installs write
+    /// through, and budget evictions persist dirty entries before dropping
+    /// them.  The store never changes results: a load is accepted only when
+    /// the decoded program compares equal to the requested one, and every
+    /// rejected or missing artifact falls back to the cold path.
     pub fn artifact_store(mut self, store: PreparedStore) -> Self {
         self.store = Some(store);
         self
     }
 
     /// The attached artifact store, if any.
-    pub fn store(&self) -> Option<&PreparedStore> {
+    pub(crate) fn store(&self) -> Option<&PreparedStore> {
         self.store.as_ref()
     }
 
@@ -333,11 +367,10 @@ impl SessionCache {
     /// deterministic [`HeapSize`] estimate — see `spec_ir::heap` for what
     /// it counts), evicting whole [`PreparedProgram`]s in least recently
     /// used order whenever an enforcement point finds the session over
-    /// budget.  Enforcement points are [`SessionCache::update`],
-    /// [`SessionCache::install`], and explicit
-    /// [`SessionCache::enforce_budget`] calls (which long-running holders
-    /// make after every request, because running configurations grows the
-    /// memoized artifacts of a resident entry).
+    /// budget.  Enforcement points are every install (a committed miss
+    /// guard or a store load) and every `CacheSession::checkpoint`, which
+    /// long-running holders make after every request because running
+    /// configurations grows the memoized artifacts of a resident entry.
     ///
     /// Eviction never changes results: an evicted program is simply
     /// re-prepared on its next sighting, and the one deterministic solver
@@ -350,7 +383,7 @@ impl SessionCache {
     }
 
     /// The configured byte budget, if any.
-    pub fn budget(&self) -> Option<u64> {
+    pub(crate) fn budget(&self) -> Option<u64> {
         self.max_bytes
     }
 
@@ -360,7 +393,7 @@ impl SessionCache {
     }
 
     /// The summed byte estimate of every resident entry, re-measured now.
-    pub fn resident_bytes(&self) -> u64 {
+    pub(crate) fn resident_bytes(&self) -> u64 {
         self.entries
             .iter()
             .map(|(name, entry)| entry.resident_bytes(name))
@@ -437,78 +470,36 @@ impl SessionCache {
         evicted
     }
 
-    /// Brings the session up to date with (a freshly parsed version of)
-    /// `program` and returns the prepared session to run against.
+    /// The first half of the two-phase resolve behind
+    /// `CacheSession::acquire`, run under its lock: the in-memory entry when
+    /// its structural fingerprint matches (counted as a reuse), then — when
+    /// an artifact store is configured — a fingerprint-keyed disk load,
+    /// deserialized, verified against the requested program and installed
+    /// as a resident entry.  Returns which tier answered; `None` means the
+    /// caller must prepare cold, outside the lock, and
+    /// [`SessionCache::install`] the result.
     ///
-    /// Programs are identified by name.  If the program is identical to
-    /// the previous snapshot (fingerprint filter plus full comparison —
-    /// the fingerprint alone is name-free and would rebind across a pure
-    /// rename, serving stale names), the existing [`PreparedProgram`] —
-    /// with every memoized artifact — is rebound; otherwise the program is
-    /// re-prepared, and when the region table is structurally unchanged
-    /// the previous session's address maps are adopted wholesale and its
-    /// fixpoint summaries are offered as per-block seeds (unchanged blocks
-    /// transplant their converged states; edited blocks and their
-    /// transitive dependents re-solve — see `spec_core::summary`).
-    pub fn update(&mut self, program: &Program) -> SessionUpdate {
-        self.update_inner(program, true)
-    }
-
-    /// First half of the two-phase resolve for lock-averse callers: the
-    /// warm session when the structural fingerprint matches the snapshot
-    /// (counted as a reuse), `None` otherwise.  On a miss the caller runs
-    /// the expensive [`Analyzer::prepare`] **outside** its lock and offers
-    /// the result back through [`SessionCache::install`] — the analysis
-    /// service's worker pool must not serialize every request behind one
-    /// cold preparation.
-    ///
-    /// Crate-internal since the `CacheSession` redesign: external callers
-    /// sequence the two-phase resolve through
-    /// [`crate::cache_session::CacheSession::acquire`] instead.
-    pub(crate) fn lookup_warm(&mut self, program: &Program) -> Option<Arc<PreparedProgram>> {
-        let tick = self.next_tick();
-        match self.entries.get_mut(program.name()) {
-            // Matched by the name-free structural fingerprint: a pure
-            // rename (same structure, different region or block names)
-            // still answers warm here.  Callers that need name-exact
-            // resolution compare the returned session's program themselves
-            // — `CacheSession::acquire` classifies a mismatch as a
-            // `renamed` miss, and [`SessionCache::update`] rebinds the
-            // entry to the renamed program (adopting its artifacts) — so
-            // the structural tier keeps serving rename-insensitive outputs
-            // without leaking stale names into name-exact ones.
-            Some(entry) if entry.fingerprint == program_fingerprint(program) => {
-                self.stats.reused += 1;
-                entry.tick = tick;
-                Some(entry.prepared.clone())
-            }
-            _ => None,
-        }
-    }
-
-    /// Two-tier resolve: the in-memory warm session first (exactly
-    /// [`SessionCache::lookup_warm`]), then — when an artifact store is
-    /// configured — a fingerprint-keyed disk load, deserialized, verified
-    /// against the requested program and installed as a resident entry.
-    /// Returns which tier answered; `None` means the caller must prepare
-    /// cold and [`SessionCache::install`] the result.
-    ///
-    /// The store is keyed by the name-free structural fingerprint while a
-    /// prepared session embeds names, so a load is accepted only when the
-    /// decoded program compares equal to `program` — a rename falls
-    /// through to the cold path instead of serving stale names.
-    ///
-    /// Crate-internal since the `CacheSession` redesign (see
-    /// [`SessionCache::lookup_warm`]).
+    /// The fingerprint is name-free, so a pure rename (same structure,
+    /// different region or block names) still answers from memory; a
+    /// name-exact acquire compares the returned session's program itself
+    /// and classifies a mismatch as a `renamed` miss.  The store, whose
+    /// loads become resident entries, accepts a load only when the decoded
+    /// program compares equal to `program`: a rename falls through to the
+    /// cold path instead of serving stale names.
     pub(crate) fn lookup_tiered(
         &mut self,
         program: &Program,
+        fingerprint: Fingerprint,
     ) -> Option<(Arc<PreparedProgram>, SessionTier)> {
-        if let Some(prepared) = self.lookup_warm(program) {
-            return Some((prepared, SessionTier::Memory));
+        let tick = self.next_tick();
+        if let Some(entry) = self.entries.get_mut(program.name()) {
+            if entry.fingerprint == fingerprint {
+                self.stats.reused += 1;
+                entry.tick = tick;
+                return Some((entry.prepared.clone(), SessionTier::Memory));
+            }
         }
-        self.store.as_ref()?;
-        let (prepared, stamp) = self.load_from_store(program)?;
+        let (prepared, stamp) = self.load_from_store(program, fingerprint)?;
         let prepared = self.install_with(prepared, Some(stamp));
         Some((prepared, SessionTier::Store))
     }
@@ -517,9 +508,12 @@ impl SessionCache {
     /// loaded bytes.  Returns the deserialized session plus its growth
     /// stamp (its "already persisted at" mark — the on-disk bytes are what
     /// we just read).  Does not install.
-    fn load_from_store(&mut self, program: &Program) -> Option<(Arc<PreparedProgram>, u64)> {
+    fn load_from_store(
+        &mut self,
+        program: &Program,
+        fingerprint: Fingerprint,
+    ) -> Option<(Arc<PreparedProgram>, u64)> {
         let store = self.store.as_ref()?;
-        let fingerprint = program_fingerprint(program);
         match store.load(&self.analyzer, fingerprint) {
             Some((prepared, bytes)) if prepared.program() == program => {
                 self.stats.store_hits += 1;
@@ -578,24 +572,20 @@ impl SessionCache {
             .is_some_and(|entry| Arc::ptr_eq(&entry.prepared, prepared))
     }
 
-    /// Second half of the two-phase resolve: installs an externally
-    /// prepared session, replacing whatever the name currently maps to
-    /// (adopting the predecessor's address maps when the region table is
-    /// structurally unchanged, exactly like [`SessionCache::update`] — a
+    /// Second half of the two-phase resolve, behind `PrepareGuard::commit`:
+    /// installs an externally prepared session, replacing whatever the name
+    /// currently maps to (adopting the predecessor's address maps and
+    /// summaries when the region table is structurally unchanged — a
     /// rename-only replacement qualifies trivially).  Every replacement
     /// counts as an invalidation, renames included, so the counters show a
     /// re-preparation happened even when the structural fingerprint did
     /// not move.  Last-writer-wins by design: racing cold preparations of
-    /// one program produce interchangeable sessions, and the
-    /// name-sensitive service path relies on replacement to retire a
-    /// rebound entry whose *names* went stale.
+    /// one program produce interchangeable sessions, and a name-exact
+    /// acquire relies on replacement to retire an entry whose *names* went
+    /// stale.
     ///
     /// With an artifact store configured the installed session is written
     /// through to disk, so a later restart loads it instead of preparing.
-    ///
-    /// Crate-internal since the `CacheSession` redesign: external callers
-    /// commit cold preparations through `PrepareGuard::commit` (see
-    /// [`SessionCache::lookup_warm`]).
     pub(crate) fn install(&mut self, prepared: Arc<PreparedProgram>) -> Arc<PreparedProgram> {
         // The donor lookup must precede the write-through: persisting
         // repoints the store's name index at the incoming session itself.
@@ -674,128 +664,16 @@ impl SessionCache {
         prepared
     }
 
-    fn update_inner(&mut self, program: &Program, want_diff: bool) -> SessionUpdate {
-        let fingerprint = program_fingerprint(program);
-        let regions = regions_fingerprint(program.regions());
-        let name = program.name().to_string();
-        let tick = self.next_tick();
-        if let Some(entry) = self.entries.get_mut(&name) {
-            if entry.fingerprint == fingerprint {
-                entry.tick = tick;
-                let diff =
-                    want_diff.then(|| ProgramDiff::between(entry.prepared.program(), program));
-                // The fingerprint is name-free, so an equal print does not
-                // mean an equal program: serving the cached handle across a
-                // pure rename would leak the pre-edit region and block
-                // names into classification output.  Rebind a fresh session
-                // to the renamed program instead and transplant the
-                // artifacts — address maps verbatim (the region table is
-                // structurally identical) and every block summary as a
-                // fixpoint seed — so the next run re-derives *names*, not
-                // fixpoints.
-                let renamed = entry.prepared.program() != program;
-                let adopted = if renamed {
-                    let rebound = Arc::new(entry.prepared.rebound(program));
-                    let adopted = rebound.adopt_address_maps(&entry.prepared);
-                    rebound.adopt_summaries(&entry.prepared);
-                    entry.prepared = rebound;
-                    adopted
-                } else {
-                    0
-                };
-                let prepared = entry.prepared.clone();
-                self.stats.reused += 1;
-                self.stats.amaps_adopted += adopted;
-                if renamed {
-                    // The entry was replaced: unseat stale L0 seeds, like
-                    // every other rebind (see `install_with`).
-                    self.bump_generation();
-                }
-                return SessionUpdate {
-                    prepared,
-                    reused: true,
-                    diff,
-                };
-            }
-        }
-        // Structural miss: diff against the predecessor (if any) first,
-        // then resolve the new session — from the store tier when it has a
-        // matching artifact, by cold preparation otherwise (written
-        // through to the store so the next miss loads).
-        let diff = match self.entries.get(&name) {
-            Some(entry) => {
-                want_diff.then(|| ProgramDiff::between(entry.prepared.program(), program))
-            }
-            None => None,
-        };
-        let (prepared, persisted) = match self.load_from_store(program) {
-            Some((prepared, stamp)) => (prepared, Some(stamp)),
-            None => {
-                let prepared = Arc::new(self.analyzer.prepare(program));
-                // No previous snapshot in memory: the store tier may still
-                // hold this name's predecessor as a summary donor (and the
-                // lookup must precede the write-through below, which
-                // repoints the name index at the fresh session).
-                if !self.entries.contains_key(&name) {
-                    self.adopt_store_donor(&prepared);
-                }
-                let persisted = self.persist_now(&prepared);
-                (prepared, persisted)
-            }
-        };
-        self.touch_entries();
-        match self.entries.get_mut(&name) {
-            Some(entry) => {
-                self.stats.invalidated += 1;
-                if entry.regions == regions {
-                    self.stats.amaps_adopted += prepared.adopt_address_maps(&entry.prepared);
-                    // The compositional-reuse handoff (see the same call in
-                    // `install_with`): the re-prepared session seeds the
-                    // unchanged blocks' fixpoint states from the replaced
-                    // snapshot, localised per block by the same structural
-                    // identity `ProgramDiff` reports — only edited blocks
-                    // and their transitive dependents re-solve.
-                    prepared.adopt_summaries(&entry.prepared);
-                }
-                *entry = SessionEntry::new(fingerprint, regions, tick, prepared.clone(), persisted);
-                // Edit-driven re-prepare: see the same bump in
-                // `install_with`.
-                self.bump_generation();
-            }
-            None => {
-                self.stats.inserted += 1;
-                self.entries.insert(
-                    name,
-                    SessionEntry::new(fingerprint, regions, tick, prepared.clone(), persisted),
-                );
-            }
-        }
-        self.enforce_budget();
-        SessionUpdate {
-            prepared,
-            reused: false,
-            diff,
-        }
-    }
-
-    /// The prepared session of a program, if it is cached.
-    pub fn get(&self, name: &str) -> Option<&Arc<PreparedProgram>> {
-        self.entries.get(name).map(|entry| &entry.prepared)
-    }
-
     /// Number of programs currently held.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.entries.len()
     }
 
-    /// `true` iff no program is held.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// The session's lifetime reuse/invalidation counters, with
-    /// [`SessionStats::session_bytes`] measured at call time.
-    pub fn stats(&self) -> SessionStats {
+    /// The table's lifetime counters, with [`SessionStats::session_bytes`]
+    /// measured at call time.  The counters the front keeps (acquires, L0
+    /// and L1 hits, guard outcomes) are zero here; `CacheSession::stats`
+    /// adds them.
+    pub(crate) fn stats(&self) -> SessionStats {
         SessionStats {
             session_bytes: self.resident_bytes(),
             generation: self.generation(),
@@ -803,35 +681,13 @@ impl SessionCache {
         }
     }
 
-    /// Aggregated artifact-cache counters across every held program — the
-    /// per-program [`PreparedProgram::cache_stats`] summed up.
-    pub fn cache_stats(&self) -> CacheStats {
-        let mut total = CacheStats::default();
-        for entry in self.entries.values() {
-            let s = entry.prepared.cache_stats();
-            total.core_hits += s.core_hits;
-            total.core_misses += s.core_misses;
-            total.amap_hits += s.amap_hits;
-            total.amap_misses += s.amap_misses;
-            total.amap_adopted += s.amap_adopted;
-            total.vcfg_hits += s.vcfg_hits;
-            total.vcfg_misses += s.vcfg_misses;
-            total.round_hits += s.round_hits;
-            total.round_misses += s.round_misses;
-            total.summary_hits += s.summary_hits;
-            total.summary_misses += s.summary_misses;
-            total.summaries_invalidated += s.summaries_invalidated;
-        }
-        total.session_evictions = self.stats.session_evictions;
-        total.session_bytes = self.resident_bytes();
-        total.store_hits = self.stats.store_hits;
-        total.store_misses = self.stats.store_misses;
-        total.store_loaded_bytes = self.stats.store_loaded_bytes;
-        // `l0_hits`/`l1_hits` stay zero here: those tiers live in front of
-        // this cache (inside `CacheSession`), which overlays its own
-        // counters on this snapshot.
-        total.generation = self.generation();
-        total
+    /// The summary hits of every resident program, summed: the sample the
+    /// service's summary-reuse counter grows by.
+    pub(crate) fn summary_hits(&self) -> u64 {
+        self.entries
+            .values()
+            .map(|entry| entry.prepared.cache_stats().summary_hits)
+            .sum()
     }
 }
 
@@ -852,6 +708,7 @@ mod tests {
     use crate::session::comparison_configs;
     use spec_cache::CacheConfig;
     use spec_ir::builder::ProgramBuilder;
+    use spec_ir::fingerprint::{program_fingerprint, ProgramDiff};
     use spec_ir::text::parse_program;
     use spec_ir::IndexExpr;
     use std::path::{Path, PathBuf};
@@ -868,34 +725,67 @@ mod tests {
         b.finish().unwrap()
     }
 
+    /// The two-phase resolve `CacheSession::acquire` runs, without the
+    /// front: a warm or stored hit, or a cold preparation installed.
+    /// Returns the handle and whether the table served it.
+    fn resolve(session: &mut SessionCache, program: &Program) -> (Arc<PreparedProgram>, bool) {
+        match session.lookup_tiered(program, program_fingerprint(program)) {
+            Some((prepared, _)) => (prepared, true),
+            None => {
+                let prepared = Arc::new(Analyzer::new().prepare(program));
+                (session.install(prepared), false)
+            }
+        }
+    }
+
+    fn renamed_program() -> Program {
+        let mut renamed = ProgramBuilder::new("a");
+        let t = renamed.region("t_renamed", 256, false);
+        let k = renamed.secret_region("k_renamed", 8);
+        let entry = renamed.entry_block("entry");
+        renamed.load(entry, t, IndexExpr::Const(0));
+        renamed.load(entry, k, IndexExpr::Const(0));
+        renamed.ret(entry);
+        let renamed = renamed.finish().unwrap();
+        assert_eq!(
+            program_fingerprint(&renamed),
+            program_fingerprint(&program("a", 0))
+        );
+        renamed
+    }
+
     #[test]
     fn unchanged_programs_rebind_and_edits_invalidate() {
         let mut session = SessionCache::new();
         let configs = comparison_configs(CacheConfig::fully_associative(4, 64));
 
-        let a0 = session.update(&program("a", 0));
-        assert!(!a0.reused);
-        assert!(a0.diff.is_none(), "first sighting has no previous snapshot");
-        a0.prepared.run_suite(&configs);
-        let b0 = session.update(&program("b", 0));
-        b0.prepared.run_suite(&configs);
+        assert!(
+            !session.entries.contains_key("a"),
+            "first sighting has no previous snapshot"
+        );
+        let (a0, hit) = resolve(&mut session, &program("a", 0));
+        assert!(!hit);
+        a0.run_suite(&configs);
+        resolve(&mut session, &program("b", 0))
+            .0
+            .run_suite(&configs);
         assert_eq!(session.len(), 2);
 
         // Re-parse of `a`, unchanged: the same session object comes back,
         // with all its memoized rounds.
-        let a1 = session.update(&program("a", 0));
-        assert!(a1.reused);
-        assert!(Arc::ptr_eq(&a1.prepared, &a0.prepared));
-        assert!(a1.diff.unwrap().is_identical());
+        let (a1, hit) = resolve(&mut session, &program("a", 0));
+        assert!(hit);
+        assert!(Arc::ptr_eq(&a1, &a0));
+        assert!(ProgramDiff::between(a1.program(), &program("a", 0)).is_identical());
 
         // Edit `a`: invalidated, diff localised; `b` is untouched.
-        let a2 = session.update(&program("a", 64));
-        assert!(!a2.reused);
-        assert!(!Arc::ptr_eq(&a2.prepared, &a0.prepared));
-        let diff = a2.diff.unwrap();
+        let diff = ProgramDiff::between(a0.program(), &program("a", 64));
         assert_eq!(diff.changed_blocks.len(), 1);
         assert!(!diff.regions_changed);
-        assert!(session.update(&program("b", 0)).reused);
+        let (a2, hit) = resolve(&mut session, &program("a", 64));
+        assert!(!hit);
+        assert!(!Arc::ptr_eq(&a2, &a0));
+        assert!(resolve(&mut session, &program("b", 0)).1);
 
         let stats = session.stats();
         assert_eq!(stats.inserted, 2);
@@ -907,16 +797,15 @@ mod tests {
     fn region_preserving_edits_adopt_address_maps() {
         let mut session = SessionCache::new();
         let configs = comparison_configs(CacheConfig::fully_associative(4, 64));
-        session
-            .update(&program("a", 0))
-            .prepared
+        resolve(&mut session, &program("a", 0))
+            .0
             .run_suite(&configs);
-        let edited = session.update(&program("a", 128));
-        assert!(!edited.reused);
+        let (edited, hit) = resolve(&mut session, &program("a", 128));
+        assert!(!hit);
         assert_eq!(session.stats().amaps_adopted, 1);
         // The adopted map serves the re-run without a rebuild.
-        edited.prepared.run_suite(&configs);
-        let stats = edited.prepared.cache_stats();
+        edited.run_suite(&configs);
+        let stats = edited.cache_stats();
         assert_eq!(stats.amap_adopted, 1);
         assert_eq!(stats.amap_misses, 0, "no address map was rebuilt");
 
@@ -926,8 +815,9 @@ mod tests {
         let entry = grown.entry_block("entry");
         grown.load(entry, t, IndexExpr::Const(0));
         grown.ret(entry);
-        let update = session.update(&grown.finish().unwrap());
-        assert!(update.diff.unwrap().regions_changed);
+        let grown = grown.finish().unwrap();
+        assert!(ProgramDiff::between(edited.program(), &grown).regions_changed);
+        resolve(&mut session, &grown);
         assert_eq!(session.stats().amaps_adopted, 1, "unchanged");
     }
 
@@ -936,23 +826,22 @@ mod tests {
         let mut session = SessionCache::new();
         let configs = comparison_configs(CacheConfig::fully_associative(4, 64));
         let p = program("a", 0);
-        assert!(session.lookup_warm(&p).is_none(), "cold lookup misses");
+        let fingerprint = program_fingerprint(&p);
+        assert!(
+            session.lookup_tiered(&p, fingerprint).is_none(),
+            "cold lookup misses"
+        );
 
         let installed = session.install(Arc::new(Analyzer::new().prepare(&p)));
         installed.run_suite(&configs); // builds the address map to adopt
-        assert!(session.lookup_warm(&p).is_some(), "installed entry is warm");
+        assert_eq!(
+            session.lookup_tiered(&p, fingerprint).map(|(_, tier)| tier),
+            Some(SessionTier::Memory),
+            "installed entry is warm"
+        );
 
         // A rename-only variant: same structural fingerprint, new names.
-        let mut renamed = ProgramBuilder::new("a");
-        let t = renamed.region("t_renamed", 256, false);
-        let k = renamed.secret_region("k_renamed", 8);
-        let entry = renamed.entry_block("entry");
-        renamed.load(entry, t, IndexExpr::Const(0));
-        renamed.load(entry, k, IndexExpr::Const(0));
-        renamed.ret(entry);
-        let renamed = renamed.finish().unwrap();
-        assert_eq!(program_fingerprint(&renamed), program_fingerprint(&p));
-
+        let renamed = renamed_program();
         let fresh = Arc::new(Analyzer::new().prepare(&renamed));
         let swapped = session.install(fresh.clone());
         assert!(Arc::ptr_eq(&swapped, &fresh), "install is last-writer-wins");
@@ -976,21 +865,27 @@ mod tests {
         // structurally identical with equal-length names, so they account
         // identically.
         let mut probe = SessionCache::new();
-        probe.update(&program("a", 0));
+        resolve(&mut probe, &program("a", 0));
         let one = probe.resident_bytes();
         assert!(one > 0);
         assert_eq!(probe.stats().session_bytes, one);
 
         let mut session = SessionCache::new().max_session_bytes(one * 2 + one / 2);
-        session.update(&program("a", 0));
-        session.update(&program("b", 0));
+        resolve(&mut session, &program("a", 0));
+        resolve(&mut session, &program("b", 0));
         // Touching `a` demotes `b` to least recently used...
-        assert!(session.update(&program("a", 0)).reused);
+        assert!(resolve(&mut session, &program("a", 0)).1);
         // ...so the third insert evicts `b`, not `a`.
-        session.update(&program("c", 0));
-        assert!(session.get("a").is_some(), "recently used survives");
-        assert!(session.get("b").is_none(), "the LRU entry is the victim");
-        assert!(session.get("c").is_some(), "the newcomer is resident");
+        resolve(&mut session, &program("c", 0));
+        assert!(session.entries.contains_key("a"), "recently used survives");
+        assert!(
+            !session.entries.contains_key("b"),
+            "the LRU entry is the victim"
+        );
+        assert!(
+            session.entries.contains_key("c"),
+            "the newcomer is resident"
+        );
         let stats = session.stats();
         assert_eq!(stats.session_evictions, 1);
         assert_eq!(
@@ -1001,13 +896,11 @@ mod tests {
         assert!(stats.session_bytes <= one * 2 + one / 2, "the bound holds");
 
         // An evicted program's next sighting is a plain re-insert — never
-        // a stale rebind.
-        let back = session.update(&program("b", 0));
-        assert!(!back.reused);
-        assert!(
-            back.diff.is_none(),
-            "the session kept nothing to diff against"
-        );
+        // a stale rebind, and with nothing kept to diff against.
+        let (_, hit) = resolve(&mut session, &program("b", 0));
+        assert!(!hit);
+        assert_eq!(session.stats().inserted, stats.inserted + 1);
+        assert_eq!(session.stats().invalidated, stats.invalidated);
     }
 
     #[test]
@@ -1016,10 +909,14 @@ mod tests {
         let store_dir = scratch.0.join("artifacts");
         let configs = comparison_configs(CacheConfig::fully_associative(4, 64));
         let p = program("a", 0);
+        let fingerprint = program_fingerprint(&p);
 
         // First life: cold prepare (the store has nothing), run, persist.
         let mut first = SessionCache::new().artifact_store(PreparedStore::open(&store_dir));
-        assert!(first.lookup_tiered(&p).is_none(), "empty store misses");
+        assert!(
+            first.lookup_tiered(&p, fingerprint).is_none(),
+            "empty store misses"
+        );
         let installed = first.install(Arc::new(Analyzer::new().prepare(&p)));
         let baseline = installed.run_suite(&configs).report().without_timing();
         assert_eq!(first.stats().store_misses, 1);
@@ -1030,7 +927,9 @@ mod tests {
         // Second life: a fresh cache over the same directory answers from
         // disk — no preparation, warm fixpoint rounds, identical report.
         let mut second = SessionCache::new().artifact_store(PreparedStore::open(&store_dir));
-        let (restored, tier) = second.lookup_tiered(&p).expect("store tier hit");
+        let (restored, tier) = second
+            .lookup_tiered(&p, fingerprint)
+            .expect("store tier hit");
         assert_eq!(tier, SessionTier::Store);
         let stats = second.stats();
         assert_eq!((stats.store_hits, stats.store_misses), (1, 0));
@@ -1044,30 +943,22 @@ mod tests {
         );
         // The disk load is now a resident memory entry.
         assert_eq!(
-            second.lookup_tiered(&p).unwrap().1,
+            second.lookup_tiered(&p, fingerprint).unwrap().1,
             SessionTier::Memory,
             "second resolve is a warm rebind"
         );
         assert_eq!(
-            second.cache_stats().store_hits,
+            second.stats().store_hits,
             1,
-            "cache_stats carries store counters"
+            "a memory hit leaves the store counter alone"
         );
 
         // A rename-only variant shares the fingerprint but not the names:
         // the store must not serve it.
-        let mut renamed = ProgramBuilder::new("a");
-        let t = renamed.region("t_renamed", 256, false);
-        let k = renamed.secret_region("k_renamed", 8);
-        let entry = renamed.entry_block("entry");
-        renamed.load(entry, t, IndexExpr::Const(0));
-        renamed.load(entry, k, IndexExpr::Const(0));
-        renamed.ret(entry);
-        let renamed = renamed.finish().unwrap();
-        assert_eq!(program_fingerprint(&renamed), program_fingerprint(&p));
+        let renamed = renamed_program();
         let mut third = SessionCache::new().artifact_store(PreparedStore::open(&store_dir));
         assert!(
-            third.lookup_tiered(&renamed).is_none(),
+            third.lookup_tiered(&renamed, fingerprint).is_none(),
             "a rename falls through to the cold path"
         );
         assert_eq!(third.stats().store_misses, 1);
@@ -1081,31 +972,32 @@ mod tests {
 
         // Probe one run entry's footprint so the budget holds exactly one.
         let mut probe = SessionCache::new();
-        probe.update(&program("a", 0)).prepared.run_suite(&configs);
+        resolve(&mut probe, &program("a", 0)).0.run_suite(&configs);
         let one = probe.resident_bytes();
 
         let mut session = SessionCache::new()
             .max_session_bytes(one + one / 2)
             .artifact_store(PreparedStore::open(&store_dir));
-        session
-            .update(&program("a", 0))
-            .prepared
+        resolve(&mut session, &program("a", 0))
+            .0
             .run_suite(&configs);
         // `a` has grown since its install-time write; growing `b` to the
         // same footprint pushes the session over budget, so the next
         // enforcement point evicts `a` (the LRU entry) — which must flush
         // its grown artifacts first.
-        session
-            .update(&program("b", 0))
-            .prepared
+        resolve(&mut session, &program("b", 0))
+            .0
             .run_suite(&configs);
         session.enforce_budget();
-        assert!(session.get("a").is_none(), "`a` was evicted");
+        assert!(!session.entries.contains_key("a"), "`a` was evicted");
         assert_eq!(session.stats().session_evictions, 1);
 
         // Its next sighting loads the *grown* session from disk: the
         // memoized rounds replay instead of being re-solved.
-        let (restored, tier) = session.lookup_tiered(&program("a", 0)).expect("store hit");
+        let a = program("a", 0);
+        let (restored, tier) = session
+            .lookup_tiered(&a, program_fingerprint(&a))
+            .expect("store hit");
         assert_eq!(tier, SessionTier::Store);
         restored.run_suite(&configs);
         assert_eq!(
@@ -1119,14 +1011,14 @@ mod tests {
     fn memoized_byte_accounting_tracks_growth() {
         let mut session = SessionCache::new();
         let configs = comparison_configs(CacheConfig::fully_associative(4, 64));
-        let update = session.update(&program("a", 0));
+        let (prepared, _) = resolve(&mut session, &program("a", 0));
         let before = session.resident_bytes();
         assert_eq!(
             session.resident_bytes(),
             before,
             "memoized answer is stable"
         );
-        update.prepared.run_suite(&configs);
+        prepared.run_suite(&configs);
         let after = session.resident_bytes();
         assert!(
             after > before,
@@ -1286,7 +1178,7 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_stored_entries_cold_start_instead_of_replaying() {
+    fn corrupt_stored_artifacts_cold_start_instead_of_loading() {
         let scratch = Scratch::new();
         let store = scratch.0.join("store");
         let configs = comparison_configs(CacheConfig::fully_associative(4, 64));
@@ -1367,7 +1259,7 @@ mod tests {
     }
 
     #[test]
-    fn analyze_session_replays_by_canonical_text_and_signature() {
+    fn store_loads_survive_relayout_but_not_renames() {
         // `analyze --incremental` resolves through a name-exact acquire: a
         // re-parse of the stored program's text, comments and layout
         // included, loads from the store; a rename prepares afresh.

@@ -93,9 +93,9 @@ pub use artifact::{options_signature, PreparedStore};
 pub use batch::{
     BatchError, BatchReport, BundleStamp, ExecMode, PanelKind, PanelSpec, ScanOutcome,
 };
-pub use cache_session::{AcquireStats, CacheOutcome, CacheSession, PrepareGuard};
+pub use cache_session::{CacheOutcome, CacheSession, PrepareGuard};
 pub use classify::{AccessInfo, AnalysisResult};
-pub use incremental::{SessionCache, SessionStats, SessionTier, SessionUpdate};
+pub use incremental::{SessionCache, SessionStats};
 pub use options::{AnalysisOptions, AnalysisOptionsBuilder, OptionsError};
 pub use session::{
     Analyzer, CacheStats, MergeError, PreparedProgram, Report, ReportRow, Suite, SuiteRun,

@@ -1482,7 +1482,7 @@ fn metrics_output(state: &ServerState) -> String {
     // only growth since the last sample is added, so evictions (which
     // shrink the aggregate) never read as a counter decrease — at worst
     // their unsampled tail is under-counted, never negative.
-    let hits = state.sessions.cache_stats().summary_hits;
+    let hits = state.sessions.summary_hits();
     let seen = state
         .telemetry
         .summary_reuse_seen
@@ -1928,6 +1928,48 @@ mod tests {
             "the read deadline did not bound the wait"
         );
         drop(hold.join());
+    }
+
+    /// `status` is a wire format: `perfbench`'s warm-service workload reads
+    /// the `session` object by key, so its key list and order are pinned.
+    #[test]
+    fn status_session_object_keeps_its_key_list_and_order() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let config = ServiceConfig::new(NonZeroUsize::MIN);
+        let server = std::thread::spawn(move || serve(listener, &config));
+        let mut client = ServiceClient::connect(&addr.to_string()).unwrap();
+        let status = client.call(&Request::Status).unwrap();
+        assert!(status.ok);
+        let keys = |value: &JsonValue| match value {
+            JsonValue::Object(members) => members.iter().map(|(k, _)| k.clone()).collect(),
+            other => panic!("expected an object, got {other:?}"),
+        };
+        let doc = JsonValue::parse(&status.output).unwrap();
+        let top: Vec<String> = keys(&doc);
+        assert_eq!(
+            top,
+            ["protocol", "jobs", "programs", "requests", "errors", "session"]
+        );
+        let session: Vec<String> = keys(doc.get("session").unwrap());
+        assert_eq!(
+            session,
+            [
+                "inserted",
+                "reused",
+                "invalidated",
+                "session_bytes",
+                "session_evictions",
+                "store_hits",
+                "store_misses",
+                "store_loaded_bytes",
+                "l0_hits",
+                "l1_hits",
+                "generation",
+            ]
+        );
+        assert!(client.call(&Request::Shutdown).unwrap().ok);
+        server.join().unwrap().unwrap();
     }
 
     #[test]

@@ -408,33 +408,6 @@ pub struct CacheStats {
     /// Block summaries invalidated at donor-adoption time: the edited
     /// blocks plus their transitive dependents over the block CFG.
     pub summaries_invalidated: u64,
-    /// Whole [`PreparedProgram`]s evicted by a session byte budget
-    /// ([`crate::incremental::SessionCache::max_session_bytes`]).  Zero for
-    /// plain (budget-free) sessions.
-    pub session_evictions: u64,
-    /// Resident bytes of the owning session cache at snapshot time (the
-    /// [`spec_ir::heap::HeapSize`] estimate).  Zero for per-program stats.
-    pub session_bytes: u64,
-    /// Prepared programs loaded from the on-disk artifact store
-    /// ([`crate::artifact::PreparedStore`]) instead of cold-prepared.  Zero
-    /// for sessions without a store tier.
-    pub store_hits: u64,
-    /// Artifact-store lookups that fell through to a cold prepare (missing,
-    /// stale or rejected artifact).  Zero for sessions without a store tier.
-    pub store_misses: u64,
-    /// Total payload bytes deserialized from the artifact store.
-    pub store_loaded_bytes: u64,
-    /// Acquires served by a worker's thread-local L0 tier without taking
-    /// the session lock.  Non-zero only when the owning session is fronted
-    /// by a [`crate::cache_session::CacheSession`].
-    pub l0_hits: u64,
-    /// Acquires served warm by the shared in-memory L1 tier through a
-    /// `CacheSession` front (the lock-taking sibling of `l0_hits`).
-    pub l1_hits: u64,
-    /// The owning session's invalidation generation at snapshot time —
-    /// bumped on every entry replacement, budget eviction and removal, and
-    /// the signal that clears the L0 tiers.  Zero for per-program stats.
-    pub generation: u64,
 }
 
 impl CacheStats {
@@ -469,27 +442,6 @@ impl fmt::Display for CacheStats {
                 f,
                 ", summaries {}h/{}m ({} invalidated)",
                 self.summary_hits, self.summary_misses, self.summaries_invalidated
-            )?;
-        }
-        if self.session_bytes > 0 || self.session_evictions > 0 {
-            write!(
-                f,
-                ", sessions {} bytes resident ({} evicted)",
-                self.session_bytes, self.session_evictions
-            )?;
-        }
-        if self.store_hits > 0 || self.store_misses > 0 {
-            write!(
-                f,
-                ", store {}h/{}m ({} bytes loaded)",
-                self.store_hits, self.store_misses, self.store_loaded_bytes
-            )?;
-        }
-        if self.l0_hits > 0 || self.l1_hits > 0 {
-            write!(
-                f,
-                ", tiers {} l0 / {} l1 (generation {})",
-                self.l0_hits, self.l1_hits, self.generation
             )?;
         }
         Ok(())
@@ -530,26 +482,6 @@ impl PreparedProgram {
     /// at preparation time (see [`spec_ir::fingerprint`]).
     pub fn fingerprint(&self) -> Fingerprint {
         self.fingerprint
-    }
-
-    /// A fresh session bound to `program`, carrying this session's
-    /// analyzer settings but none of its artifacts — the caller
-    /// transplants those via [`PreparedProgram::adopt_address_maps`] and
-    /// [`PreparedProgram::adopt_summaries`].  Only sound when `program` is
-    /// a pure rename of this session's program (equal name-free
-    /// fingerprint): the adopted artifacts embed the analysed structure.
-    /// Classification output re-derives names from the *new* program, so
-    /// rebinding never leaks pre-rename labels.
-    pub(crate) fn rebound(&self, program: &Program) -> PreparedProgram {
-        debug_assert_eq!(program_fingerprint(program), self.fingerprint);
-        PreparedProgram {
-            fingerprint: self.fingerprint,
-            program: program.clone(),
-            max_suite_threads: self.max_suite_threads,
-            cores: Memo::new(),
-            amaps: Memo::new(),
-            summaries: SummaryStore::new(),
-        }
     }
 
     fn core(&self, options: &AnalysisOptions) -> Arc<PreparedCore> {
@@ -928,11 +860,7 @@ impl Report {
                  \"vcfg_hits\": {}, \"vcfg_misses\": {}, \"round_hits\": {}, \
                  \"round_misses\": {}, \
                  \"summary_hits\": {}, \"summary_misses\": {}, \
-                 \"summaries_invalidated\": {}, \
-                 \"session_evictions\": {}, \"session_bytes\": {}, \
-                 \"store_hits\": {}, \"store_misses\": {}, \
-                 \"store_loaded_bytes\": {}, \"l0_hits\": {}, \
-                 \"l1_hits\": {}, \"generation\": {}}},\n",
+                 \"summaries_invalidated\": {}}},\n",
                 cache.core_hits,
                 cache.core_misses,
                 cache.amap_hits,
@@ -944,15 +872,7 @@ impl Report {
                 cache.round_misses,
                 cache.summary_hits,
                 cache.summary_misses,
-                cache.summaries_invalidated,
-                cache.session_evictions,
-                cache.session_bytes,
-                cache.store_hits,
-                cache.store_misses,
-                cache.store_loaded_bytes,
-                cache.l0_hits,
-                cache.l1_hits,
-                cache.generation
+                cache.summaries_invalidated
             ));
         }
         out.push_str("  \"runs\": [\n");

@@ -17,10 +17,13 @@
 //!   exactly the edited blocks plus their transitive successors (the
 //!   dependency-tracked forward closure), once per adopted core.
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use spec_cache::CacheConfig;
-use spec_core::{AnalysisOptions, Analyzer, CacheOutcome, CacheSession, Report, SessionCache};
+use spec_core::{
+    AnalysisOptions, Analyzer, CacheOutcome, CacheSession, PreparedProgram, Report, SessionCache,
+};
 use spec_ir::builder::ProgramBuilder;
 use spec_ir::fingerprint::block_fingerprint;
 use spec_ir::{program_fingerprint, BranchSemantics, IndexExpr, MemRef, Program, RegionId};
@@ -137,6 +140,15 @@ fn cold_report(program: &Program) -> Report {
         .without_timing()
 }
 
+/// Resolves `program` through the session front and demands a miss: an
+/// edited program is prepared again, seeded from the entry it replaces.
+fn prepare_miss(session: &CacheSession, program: &Program) -> Arc<PreparedProgram> {
+    match session.acquire(program) {
+        CacheOutcome::NeedsPrepare(guard) => guard.prepare(program),
+        other => panic!("a new program version must miss, got `{}`", other.tag()),
+    }
+}
+
 /// The forward closure the invalidation must cover: block indices of the
 /// new analyzed program whose per-block fingerprint differs positionally
 /// from the donor's, plus every transitive successor.  Mirrors the
@@ -174,19 +186,19 @@ fn one_block_edit_reuses_every_upstream_summary() {
     let p2 = ladder(7, segments, &[(last, REGION_BYTES / 2)]);
     assert_ne!(program_fingerprint(&p1), program_fingerprint(&p2));
 
-    let mut session = SessionCache::new();
-    let up1 = session.update(&p1);
-    let suite1 = up1.prepared.run_suite(&configs());
+    let session = CacheSession::new(SessionCache::new());
+    let up1 = prepare_miss(&session, &p1);
+    let suite1 = up1.run_suite(&configs());
     assert_eq!(
-        up1.prepared.cache_stats().summary_hits,
+        up1.cache_stats().summary_hits,
         0,
         "a cold preparation has no donor to seed from"
     );
 
-    let up2 = session.update(&p2);
-    assert!(!up2.reused, "an edited program must re-prepare");
-    let suite2 = up2.prepared.run_suite(&configs());
-    let stats = up2.prepared.cache_stats();
+    // An edited program must re-prepare: `prepare_miss` demands the miss.
+    let up2 = prepare_miss(&session, &p2);
+    let suite2 = up2.run_suite(&configs());
+    let stats = up2.cache_stats();
     assert!(
         stats.summary_hits > 0,
         "editing the last block must reuse upstream summaries: {stats}"
@@ -228,11 +240,10 @@ fn random_edits_are_byte_identical_and_keep_the_ledger() {
             "trial {trial}: the override must be a real edit"
         );
 
-        let mut session = SessionCache::new();
-        let up1 = session.update(&p1);
-        let suite1 = up1.prepared.run_suite(&configs());
-        let up2 = session.update(&p2);
-        let suite2 = up2.prepared.run_suite(&configs());
+        let session = CacheSession::new(SessionCache::new());
+        let suite1 = prepare_miss(&session, &p1).run_suite(&configs());
+        let up2 = prepare_miss(&session, &p2);
+        let suite2 = up2.run_suite(&configs());
 
         // Byte identity post-strip against a cold preparation.
         assert_eq!(
@@ -242,7 +253,7 @@ fn random_edits_are_byte_identical_and_keep_the_ledger() {
         );
 
         // The ledger: every solved round classified each block exactly once.
-        let stats = up2.prepared.cache_stats();
+        let stats = up2.cache_stats();
         let blocks = suite2.runs[0].result.program.blocks().len() as u64;
         assert_eq!(
             stats.summary_hits + stats.summary_misses,
@@ -277,12 +288,12 @@ fn unrelated_programs_do_not_seed_each_other() {
     // result is still exactly the cold one.
     let p1 = ladder(11, 3, &[]);
     let p2 = ladder(13, 3, &[]);
-    let mut session = SessionCache::new();
-    session.update(&p1).prepared.run_suite(&configs());
-    let up2 = session.update(&p2);
-    let suite2 = up2.prepared.run_suite(&configs());
+    let session = CacheSession::new(SessionCache::new());
+    prepare_miss(&session, &p1).run_suite(&configs());
+    let up2 = prepare_miss(&session, &p2);
+    let suite2 = up2.run_suite(&configs());
     assert_eq!(
-        up2.prepared.cache_stats().summary_hits,
+        up2.cache_stats().summary_hits,
         0,
         "no block of an unrelated program may reuse a donor summary"
     );
@@ -347,9 +358,10 @@ fn summary_reuse_survives_a_restart_through_the_artifact_store() {
 
 /// Regression for the stale-name rebind: the structural fingerprint is
 /// name-free, so a pure region rename fingerprints identically to its
-/// donor.  [`SessionCache::update`] used to authorize the rebind on the
-/// fingerprint alone and serve the *old* session — reports then carried
-/// the stale names.  The rebind now requires full program equality.
+/// donor, and serving the cached session on the fingerprint alone would
+/// leak the *old* names into reports.  A name-exact acquire of the rename
+/// misses as `renamed` instead, and the commit re-prepares under the new
+/// names while adopting the donor's address maps and summaries.
 #[test]
 fn pure_rename_rebinds_to_the_new_names_without_losing_reuse() {
     fn tiny(region: &str) -> Program {
@@ -371,27 +383,28 @@ fn pure_rename_rebinds_to_the_new_names_without_losing_reuse() {
         "a pure rename is structurally identical — that is the trap"
     );
 
-    let mut session = SessionCache::new();
-    let up1 = session.update(&old);
-    assert!(!up1.reused);
-    up1.prepared.run_suite(&configs());
-    let up2 = session.update(&renamed);
+    let session = CacheSession::new(SessionCache::new());
+    prepare_miss(&session, &old).run_suite(&configs());
+    let CacheOutcome::NeedsPrepare(guard) = session.acquire(&renamed) else {
+        panic!("a rename must not be served the donor's names");
+    };
     assert!(
-        up2.reused,
-        "a rename never invalidates the session — the structure is identical"
+        guard.renamed(),
+        "the structure was found: the miss is a rename, not an edit"
     );
+    let rebound = guard.prepare(&renamed);
     assert_eq!(
-        up2.prepared.program(),
+        rebound.program(),
         &renamed,
-        "but the served session must carry the *new* names, not the donor's"
+        "the served session must carry the *new* names, not the donor's"
     );
-    // The rebind transplanted the donor's fixpoints: the renamed run
+    // The commit transplanted the donor's fixpoints: the renamed run
     // seeds from them instead of re-solving, and stays byte-identical.
-    let renamed_suite = up2.prepared.run_suite(&configs());
-    let stats = up2.prepared.cache_stats();
+    let renamed_suite = rebound.run_suite(&configs());
+    let stats = rebound.cache_stats();
     assert!(
         stats.summary_hits > 0,
-        "a rename rebind must reuse the donor's summaries, got {stats}"
+        "a rename must reuse the donor's summaries, got {stats}"
     );
     assert_eq!(
         cold_report(&renamed).to_json(),
@@ -399,10 +412,16 @@ fn pure_rename_rebinds_to_the_new_names_without_losing_reuse() {
         "the rebound run must match a cold analysis of the renamed program"
     );
 
-    // An identical re-parse rebinds wholesale — same handle, no new work.
-    let up3 = session.update(&renamed);
-    assert!(up3.reused, "an identical program rebinds the warm session");
-    assert_eq!(up3.prepared.program(), &renamed);
+    // An identical re-parse is served warm — same handle, no new work.
+    match session.acquire(&renamed) {
+        CacheOutcome::L0Hit(hit) | CacheOutcome::WarmHit(hit) => {
+            assert!(Arc::ptr_eq(&hit, &rebound));
+        }
+        other => panic!("an identical program is served warm, got `{}`", other.tag()),
+    }
+    let ledger = session.stats();
+    assert_eq!((ledger.inserted, ledger.invalidated), (1, 1));
+    assert!(ledger.reconciles());
 }
 
 /// `Report::without_timing` must strip *every* execution-dependent field —

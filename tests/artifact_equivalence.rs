@@ -27,11 +27,12 @@ use spec_bench::service_harness::{
 use speculative_absint::cache::CacheConfig;
 use speculative_absint::core::cache_session::{CacheOutcome, CacheSession};
 use speculative_absint::core::incremental::SessionCache;
-use speculative_absint::core::session::{comparison_configs, Analyzer};
+use speculative_absint::core::session::{comparison_configs, Analyzer, PreparedProgram};
 use speculative_absint::core::PreparedStore;
 use speculative_absint::ir::fingerprint::program_fingerprint;
 use speculative_absint::ir::text::parse_program;
 use speculative_absint::ir::Program;
+use speculative_absint::workloads::ete_workload;
 
 const CASES: u64 = 4;
 
@@ -42,7 +43,7 @@ fn cache() -> CacheConfig {
 /// Runs the comparison panel and renders the stripped reference report:
 /// what any session — cold, loaded, or recovered from corruption — must
 /// reproduce exactly.
-fn panel_report(prepared: &speculative_absint::core::PreparedProgram) -> String {
+fn panel_report(prepared: &PreparedProgram) -> String {
     prepared
         .run_suite(&comparison_configs(cache()))
         .report()
@@ -65,40 +66,57 @@ fn store_round_trips_reproduce_cold_reports_bit_for_bit() {
     let store = PreparedStore::open(scratch.dir());
     let mut rng = Rng::new(0xa21f_ac75);
 
-    for case in 0..CASES {
-        let program = parse(&random_program_text(&mut rng, &format!("rt{case}")));
+    // Random programs under the suite's panel, plus one ETE workload at
+    // the scale the paper's tables start from.
+    const ETE_LINES: u64 = 16;
+    let mut inputs: Vec<(String, Program, CacheConfig)> = (0..CASES)
+        .map(|case| {
+            let text = random_program_text(&mut rng, &format!("rt{case}"));
+            (format!("case {case}"), parse(&text), cache())
+        })
+        .collect();
+    inputs.push((
+        "ete jcphuff".to_string(),
+        ete_workload("jcphuff", ETE_LINES).program,
+        CacheConfig::fully_associative(ETE_LINES as usize, 64),
+    ));
+
+    for (label, program, cache) in inputs {
+        let panel = |prepared: &PreparedProgram| {
+            prepared
+                .run_suite(&comparison_configs(cache))
+                .report()
+                .without_timing()
+                .to_json()
+        };
         let prepared = analyzer.prepare(&program);
-        let expected = panel_report(&prepared);
+        let expected = panel(&prepared);
 
         let written = store.save(&prepared).expect("artifact saves");
-        assert!(written > 0, "case {case}: artifacts are not empty");
+        assert!(written > 0, "{label}: artifacts are not empty");
         let (restored, loaded) = store
             .load(&analyzer, program_fingerprint(&program))
             .expect("a just-saved artifact loads");
         // `save` reports header + payload; `load` reports the payload the
         // counters account for.  The difference is the fixed 44-byte header.
-        assert_eq!(
-            written,
-            loaded + 44,
-            "case {case}: loaded bytes match written"
-        );
+        assert_eq!(written, loaded + 44, "{label}: loaded bytes match written");
         assert_eq!(
             restored.program(),
             &program,
-            "case {case}: the restored program is structurally identical"
+            "{label}: the restored program is structurally identical"
         );
 
         assert_eq!(
-            panel_report(&restored),
+            panel(&restored),
             expected,
-            "case {case}: a loaded session must reproduce the cold report"
+            "{label}: a loaded session must reproduce the cold report"
         );
         // The panel above ran entirely from the artifact's memoized rounds:
         // a restored store is warm, not merely correct.
         assert_eq!(
             restored.cache_stats().round_misses,
             0,
-            "case {case}: memoized fixpoint rounds survive the round trip"
+            "{label}: memoized fixpoint rounds survive the round trip"
         );
     }
 }

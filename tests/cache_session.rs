@@ -14,8 +14,9 @@
 //!   worker's repeat acquire misses every tier (the eviction's generation
 //!   bump unseats the L0 seed) instead of replaying an evicted handle;
 //! * **the ledger reconciles** — across any concurrent mix of hits,
-//!   prepares and abandoned guards, every acquire lands in exactly one
-//!   tier counter (`l0 + l1 + store + prepares + abandoned == acquires`).
+//!   prepares and abandoned guards, and across a store restart, every
+//!   acquire lands in exactly one tier counter (`l0 + l1 + store +
+//!   prepares + abandoned == acquires`), each counted once.
 //!
 //! Like the other property suites, the generator is a deterministic
 //! xorshift PRNG, so a failure reproduces from the printed case number.
@@ -23,11 +24,12 @@
 use std::sync::mpsc;
 use std::thread;
 
-use spec_bench::service_harness::{random_program_text, Rng};
+use spec_bench::service_harness::{random_program_text, Rng, Scratch};
 use speculative_absint::cache::CacheConfig;
 use speculative_absint::core::cache_session::{CacheOutcome, CacheSession};
 use speculative_absint::core::incremental::SessionCache;
 use speculative_absint::core::session::{comparison_configs, Analyzer};
+use speculative_absint::core::PreparedStore;
 use speculative_absint::ir::text::parse_program;
 use speculative_absint::ir::Program;
 
@@ -119,7 +121,7 @@ fn edits_on_worker_a_never_serve_stale_from_worker_bs_l0() {
             drop(to_b);
         });
         assert!(
-            sessions.acquire_stats().reconciles(),
+            sessions.stats().reconciles(),
             "case {case}: every acquire lands in exactly one tier counter"
         );
     }
@@ -173,7 +175,7 @@ fn evictions_on_worker_a_never_serve_stale_from_worker_bs_l0() {
         drop(to_b);
     });
 
-    let stats = sessions.acquire_stats();
+    let stats = sessions.stats();
     assert!(stats.reconciles());
     assert_eq!(
         stats.l0_hits + stats.l1_hits,
@@ -227,7 +229,7 @@ fn counters_reconcile_under_concurrent_mixed_workloads() {
         }
     });
 
-    let stats = sessions.acquire_stats();
+    let stats = sessions.stats();
     assert_eq!(stats.acquires, WORKERS * STEPS);
     assert!(
         stats.reconciles(),
@@ -240,4 +242,51 @@ fn counters_reconcile_under_concurrent_mixed_workloads() {
         stats.acquires
     );
     assert!(stats.prepares >= 1, "someone prepared the pool");
+}
+
+#[test]
+fn store_restart_ledger_counts_each_store_hit_once() {
+    let scratch = Scratch::new("cache-session-ledger");
+    let mut rng = Rng::new(0x1ed6_e700);
+    let programs: Vec<Program> = (0..3)
+        .map(|i| {
+            parse_program(&random_program_text(&mut rng, &format!("led{i}")))
+                .expect("generated programs parse")
+        })
+        .collect();
+    let open = || {
+        CacheSession::new(SessionCache::new().artifact_store(PreparedStore::open(scratch.dir())))
+    };
+
+    // First life: every program prepares cold; the checkpoint persists
+    // the rounds its run filled.
+    let first = open();
+    for program in &programs {
+        acquire_report(&first, program);
+    }
+    let stats = first.checkpoint();
+    assert_eq!((stats.prepares, stats.store_hits), (3, 0));
+    assert!(stats.reconciles());
+
+    // Second life over the same directory: each program loads from the
+    // store once, then is served from memory.
+    let second = open();
+    let mut store_outcomes = 0;
+    for _ in 0..2 {
+        for program in &programs {
+            match second.acquire(program) {
+                CacheOutcome::StoreHit(_) => store_outcomes += 1,
+                CacheOutcome::L0Hit(_) | CacheOutcome::WarmHit(_) => {}
+                CacheOutcome::NeedsPrepare(_) => panic!("a stored program must load"),
+            }
+        }
+    }
+    let stats = second.checkpoint();
+    assert_eq!(store_outcomes, programs.len() as u64);
+    assert_eq!(
+        stats.store_hits, store_outcomes,
+        "the ledger counts each store load once"
+    );
+    assert_eq!(stats.acquires, 2 * programs.len() as u64);
+    assert!(stats.reconciles(), "{stats:?}");
 }

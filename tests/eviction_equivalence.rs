@@ -8,9 +8,9 @@
 //!   report acquired through a budgeted session must serialize to exactly
 //!   the bytes of a fresh, session-free run once the timing fields are
 //!   stripped, the resident-bytes invariant must hold after every
-//!   checkpoint, and the counters must reconcile — both the cache's
-//!   (`inserted - session_evictions = resident entries`) and the front's
-//!   (every acquire lands in exactly one tier counter);
+//!   checkpoint, and the one ledger must reconcile — both
+//!   `inserted - session_evictions = resident entries` and every acquire
+//!   landing in exactly one tier counter;
 //! * a live `specan serve --max-session-bytes` process (via the shared
 //!   `spec_bench::service_harness`): responses from a thrashing server
 //!   must be byte-identical, post timing-strip, to an unbounded server's.
@@ -79,7 +79,7 @@ fn drive_session(sessions: &CacheSession, sources: &[&str], cache: CacheConfig) 
                 );
             }
             assert!(
-                sessions.acquire_stats().reconciles(),
+                sessions.stats().reconciles(),
                 "every acquire lands in exactly one tier counter"
             );
             report
@@ -150,7 +150,6 @@ fn budgeted_sessions_reproduce_fresh_reports_bit_for_bit() {
                  must equal the resident entries"
             );
             assert_eq!(stats.session_bytes, session.resident_bytes());
-            let acquired = session.acquire_stats();
             match budget {
                 // A sub-entry budget keeps nothing resident and evicts on
                 // every sighting (each insert is followed by its eviction,
@@ -159,7 +158,7 @@ fn budgeted_sessions_reproduce_fresh_reports_bit_for_bit() {
                     assert_eq!(session.len(), 0, "case {case}: nothing fits");
                     assert_eq!(stats.session_evictions, stats.inserted);
                     assert_eq!(
-                        acquired.l0_hits + acquired.l1_hits,
+                        stats.l0_hits + stats.l1_hits,
                         0,
                         "nothing survives to be served warm"
                     );
@@ -168,7 +167,7 @@ fn budgeted_sessions_reproduce_fresh_reports_bit_for_bit() {
                 None => {
                     assert_eq!(stats.session_evictions, 0, "unbounded never evicts");
                     assert!(
-                        acquired.l0_hits + acquired.l1_hits > 0,
+                        stats.l0_hits + stats.l1_hits > 0,
                         "second visits are served from a warm tier"
                     );
                 }
@@ -250,7 +249,7 @@ fn two_phase_resolve_stays_correct_under_eviction() {
         stats.inserted - stats.session_evictions,
         session.len() as u64
     );
-    assert!(session.acquire_stats().reconciles());
+    assert!(stats.reconciles());
 }
 
 // ---------------------------------------------------------------------------

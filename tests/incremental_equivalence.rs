@@ -1,27 +1,33 @@
 //! Edit-equivalence property suite for the incremental session layer.
 //!
 //! The contract under test: however a program is edited, running it through
-//! a long-lived [`SessionCache`] produces a report **bit-identical** to a
+//! a long-lived [`CacheSession`] produces a report **bit-identical** to a
 //! fresh `Analyzer::prepare` run — same leak verdicts, same label order,
 //! same serialized bytes once the execution-describing fields are stripped.
-//! Rename-only edits must additionally *rebind* the previous session
-//! (fingerprints ignore names), and edits to one program of a multi-program
-//! session must leave every other program's artifacts bound.
+//! Rename-only edits must additionally be recognised as renames
+//! (fingerprints ignore names) and re-prepared under the new names, edits
+//! to one program of a multi-program session must leave every other
+//! program's artifacts bound, and a one-block edit of an ETE workload must
+//! seed its re-preparation from the predecessor's block summaries.
 //!
 //! Like `property_soundness`, the generator is a deterministic xorshift
 //! PRNG, so the workspace stays dependency-free and a failure reproduces
 //! from the printed case number.
 
+use std::sync::Arc;
+
 use speculative_absint::cache::CacheConfig;
 use speculative_absint::core::batch::ProgramVerdict;
+use speculative_absint::core::cache_session::{CacheOutcome, CacheSession};
 use speculative_absint::core::incremental::SessionCache;
 use speculative_absint::core::session::comparison_configs;
-use speculative_absint::core::{AnalysisOptions, Analyzer, Report};
+use speculative_absint::core::{AnalysisOptions, Analyzer, PreparedProgram, Report, SessionStats};
 use speculative_absint::ir::builder::ProgramBuilder;
-use speculative_absint::ir::fingerprint::program_fingerprint;
+use speculative_absint::ir::fingerprint::{program_fingerprint, ProgramDiff};
 use speculative_absint::ir::{
     BasicBlock, BranchSemantics, IndexExpr, Inst, MemRef, MemoryRegion, Program, RegionId,
 };
+use speculative_absint::workloads::ete_suite;
 
 const LINES: usize = 8;
 const CASES: u64 = 24;
@@ -188,52 +194,74 @@ fn fresh_report(program: &Program) -> Report {
         .without_timing()
 }
 
+/// Resolves `program` through the session front, whichever tier answers.
+/// Returns the handle and whether a tier served it (`false`: prepared).
+fn acquire(session: &CacheSession, program: &Program) -> (Arc<PreparedProgram>, bool) {
+    match session.acquire(program) {
+        CacheOutcome::L0Hit(prepared)
+        | CacheOutcome::WarmHit(prepared)
+        | CacheOutcome::StoreHit(prepared) => (prepared, true),
+        CacheOutcome::NeedsPrepare(guard) => (guard.prepare(program), false),
+    }
+}
+
 #[test]
 fn incremental_reports_are_bit_identical_to_fresh_runs() {
     let mut rng = Rng::new(0x5eed_1001);
     let configs = configs();
     for case in 0..CASES {
-        let mut session = SessionCache::new();
+        let session = CacheSession::new(SessionCache::new());
         // A multi-program session: the edit below touches exactly one.
         let programs: Vec<Program> = (0..3)
             .map(|i| random_program(&mut rng, &format!("p{i}")))
             .collect();
         for program in &programs {
-            session.update(program).prepared.run_suite(&configs);
+            acquire(&session, program).0.run_suite(&configs);
         }
-        let reused_before = session.stats().reused;
+        let warm = |stats: SessionStats| stats.l0_hits + stats.l1_hits;
+        let warm_before = warm(session.stats());
 
         let victim = rng.below(3) as usize;
         let (edited, what) = apply_edit(&mut rng, &programs[victim]);
         let structurally_same =
             program_fingerprint(&edited) == program_fingerprint(&programs[victim]);
 
-        let update = session.update(&edited);
+        // A tier serves the edited program only when it is identical; a
+        // structurally equal one under other names is a renamed miss.
+        let (prepared, hit, renamed) = match session.acquire(&edited) {
+            CacheOutcome::NeedsPrepare(guard) => {
+                let renamed = guard.renamed();
+                (guard.prepare(&edited), false, renamed)
+            }
+            CacheOutcome::L0Hit(prepared)
+            | CacheOutcome::WarmHit(prepared)
+            | CacheOutcome::StoreHit(prepared) => (prepared, true, false),
+        };
         assert_eq!(
-            update.reused, structurally_same,
+            hit || renamed,
+            structurally_same,
             "case {case} ({what}): reuse must track fingerprint equality exactly"
+        );
+        assert_eq!(
+            hit,
+            edited == programs[victim],
+            "case {case} ({what}): only an identical program is served as is"
         );
         if what == "rename" {
             assert!(
-                update.reused,
-                "case {case}: renames must never invalidate the session"
+                renamed,
+                "case {case}: renames are recognised by structure and re-prepared"
             );
         }
-        if let Some(diff) = &update.diff {
-            assert_eq!(
-                diff.is_identical(),
-                structurally_same,
-                "case {case} ({what}): diff identity must agree with the fingerprint"
-            );
-        }
+        assert_eq!(
+            ProgramDiff::between(&programs[victim], &edited).is_identical(),
+            structurally_same,
+            "case {case} ({what}): diff identity must agree with the fingerprint"
+        );
 
         // The incremental report is bit-identical to a fresh analysis —
         // rows, label order, serialized bytes.
-        let incremental = update
-            .prepared
-            .run_suite(&configs)
-            .report()
-            .without_timing();
+        let incremental = prepared.run_suite(&configs).report().without_timing();
         let fresh = fresh_report(&edited);
         assert_eq!(incremental, fresh, "case {case} ({what})");
         assert_eq!(
@@ -262,29 +290,29 @@ fn incremental_reports_are_bit_identical_to_fresh_runs() {
         );
 
         // The other programs' sessions were not disturbed: re-parsing them
-        // rebinds every prepared artifact.
+        // is served warm with every prepared artifact.
         for (i, program) in programs.iter().enumerate() {
             if i != victim {
-                let other = session.update(program);
-                assert!(other.reused, "case {case}: untouched program {i} rebinds");
-                let report = other.prepared.run_suite(&configs).report().without_timing();
+                let (other, hit) = acquire(&session, program);
+                assert!(hit, "case {case}: untouched program {i} is served warm");
+                let report = other.run_suite(&configs).report().without_timing();
                 assert_eq!(report, fresh_report(program), "case {case}: program {i}");
             }
         }
         assert!(
-            session.stats().reused >= reused_before + 2,
-            "case {case}: both untouched programs must count as reused"
+            warm(session.stats()) >= warm_before + 2,
+            "case {case}: both untouched programs must count as warm hits"
         );
+        assert!(session.stats().reconciles(), "case {case}");
     }
 
     // A chain of edits through one long-lived session — each edit applied
     // to the previous edit's output — matches fresh runs at every step.
-    let mut session = SessionCache::new();
+    let session = CacheSession::new(SessionCache::new());
     let mut program = random_program(&mut rng, "chained");
     for step in 0..4 {
-        let report = session
-            .update(&program)
-            .prepared
+        let report = acquire(&session, &program)
+            .0
             .run_suite(&configs)
             .report()
             .without_timing();
@@ -300,29 +328,39 @@ fn incremental_reports_are_bit_identical_to_fresh_runs() {
 fn editing_one_program_reuses_untouched_artifacts() {
     let mut rng = Rng::new(0x5eed_1002);
     let configs = configs();
-    let mut session = SessionCache::new();
+    let session = CacheSession::new(SessionCache::new());
     let programs: Vec<Program> = (0..3)
         .map(|i| random_program(&mut rng, &format!("q{i}")))
         .collect();
-    for program in &programs {
-        session.update(program).prepared.run_suite(&configs);
-    }
-    let baseline_stats: Vec<_> = programs
+    let prepared: Vec<Arc<PreparedProgram>> = programs
         .iter()
-        .map(|p| session.get(p.name()).unwrap().cache_stats())
+        .map(|program| {
+            let (prepared, _) = acquire(&session, program);
+            prepared.run_suite(&configs);
+            prepared
+        })
         .collect();
+    let baseline_stats: Vec<_> = prepared.iter().map(|p| p.cache_stats()).collect();
 
     // Edit q1 only; rerun the whole bundle through the session.
     let (edited, _) = apply_edit(&mut rng, &programs[1]);
-    for program in [&programs[0], &edited, &programs[2]] {
-        session.update(program).prepared.run_suite(&configs);
-    }
+    let rerun: Vec<(Arc<PreparedProgram>, bool)> = [&programs[0], &edited, &programs[2]]
+        .into_iter()
+        .map(|program| {
+            let (prepared, hit) = acquire(&session, program);
+            prepared.run_suite(&configs);
+            (prepared, hit)
+        })
+        .collect();
 
-    for (i, program) in programs.iter().enumerate() {
-        let stats = session.get(program.name()).unwrap().cache_stats();
-        if i == 1 {
-            continue;
-        }
+    for i in [0, 2] {
+        let (handle, hit) = &rerun[i];
+        assert!(hit, "program {i} is served warm");
+        assert!(
+            Arc::ptr_eq(handle, &prepared[i]),
+            "program {i} kept its PreparedProgram"
+        );
+        let stats = handle.cache_stats();
         // Untouched programs kept their PreparedProgram: the second suite
         // hit the memoized artifacts instead of rebuilding them.
         assert_eq!(
@@ -346,6 +384,70 @@ fn editing_one_program_reuses_untouched_artifacts() {
             "program {i}: the second suite replayed memoized rounds"
         );
     }
-    assert_eq!(session.stats().reused, 2);
-    assert_eq!(session.stats().inserted, 3);
+    let stats = session.stats();
+    assert_eq!(stats.l0_hits + stats.l1_hits, 2);
+    assert_eq!(stats.inserted, 3);
+    assert!(stats.reconciles());
+}
+
+/// Duplicates the last memory access of the last memory-touching block: a
+/// surgical single-block edit that leaves the region table (and therefore
+/// the donor-adoption gate) untouched.  Editing a late block keeps the
+/// forward invalidation closure small, the typical in-place patch.
+fn edit_one_block(program: &Program) -> Program {
+    let mut blocks = program.blocks().to_vec();
+    let victim = blocks
+        .iter()
+        .rposition(|b| b.insts.iter().any(|i| i.accesses_memory()))
+        .expect("every ETE workload touches memory");
+    let dup = blocks[victim]
+        .insts
+        .iter()
+        .rev()
+        .find(|i| i.accesses_memory())
+        .copied()
+        .expect("victim block has a memory access");
+    blocks[victim].insts.push(dup);
+    rebuild(program, program.regions().to_vec(), blocks)
+}
+
+/// A one-block edit of an ETE workload, re-prepared through the session
+/// that holds its predecessor, transplants the unchanged blocks' summaries
+/// and still reports exactly what a cold preparation reports.
+#[test]
+fn one_block_ete_edits_seed_from_the_predecessor_and_match_cold() {
+    const ETE_LINES: u64 = 16;
+    let configs = comparison_configs(CacheConfig::fully_associative(ETE_LINES as usize, 64));
+    let workloads: Vec<_> = ete_suite(ETE_LINES)
+        .into_iter()
+        .filter(|workload| ["jcphuff", "vga"].contains(&workload.name()))
+        .collect();
+    assert_eq!(workloads.len(), 2);
+    for workload in workloads {
+        let name = workload.name();
+        let session = CacheSession::new(SessionCache::new());
+        acquire(&session, &workload.program).0.run_suite(&configs);
+
+        let edited = edit_one_block(&workload.program);
+        let CacheOutcome::NeedsPrepare(guard) = session.acquire(&edited) else {
+            panic!("`{name}`: an edited program must re-prepare");
+        };
+        let seeded = guard.prepare(&edited);
+        let report = seeded.run_suite(&configs).report().without_timing();
+        let cold = Analyzer::new()
+            .prepare(&edited)
+            .run_suite(&configs)
+            .report()
+            .without_timing();
+        assert_eq!(
+            report.to_json(),
+            cold.to_json(),
+            "`{name}`: the summary-seeded report diverged from the cold one"
+        );
+        let stats = seeded.cache_stats();
+        assert!(
+            stats.summary_hits > 0,
+            "`{name}`: the edit must transplant upstream summaries: {stats}"
+        );
+    }
 }
