@@ -284,7 +284,7 @@ impl Drop for Scratch {
 
 /// Zeroes the execution-describing fields of `analyze`/`compare` JSON
 /// output — `"time_secs"` wall clocks and `"iterations"` worklist-pop
-/// counts (summary seeding legitimately shrinks the latter) — the bytes
+/// counts, which describe how a result was computed — the bytes
 /// the byte-identity contracts strip on both sides (the CI gates' `sed`
 /// is the shell twin of this function).
 pub fn strip_analyze_timing(output: &str) -> String {

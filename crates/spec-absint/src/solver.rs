@@ -87,57 +87,11 @@ impl WorklistSolver {
     /// happen if the problem's transfer function is not monotone over a
     /// finite-height lattice and no widening point breaks the cycle.
     pub fn solve<P: DataflowProblem>(&self, problem: &mut P) -> (Vec<P::State>, SolveStats) {
-        self.solve_core(problem, Vec::new())
-    }
-
-    /// Runs the fixpoint with some nodes *frozen* at already-converged
-    /// states (a compositional partial solve).
-    ///
-    /// `seeds[i] = Some(state)` pins node `i` at `state`: it is never
-    /// re-joined, and transfers into it are skipped.  Every frozen node with
-    /// at least one unfrozen successor is visited once to flow its state
-    /// across the frontier; unfrozen nodes iterate to fixpoint as in
-    /// [`WorklistSolver::solve`].
-    ///
-    /// The result equals a cold [`WorklistSolver::solve`] when the caller
-    /// upholds the seeding contract:
-    ///
-    /// * the frozen set is closed under predecessors (no edge from an
-    ///   unfrozen node into a frozen one), so frozen states cannot be
-    ///   out of date;
-    /// * each seed is the state the cold solve converges to at that node
-    ///   (e.g. transplanted from a prior solve of an identical subgraph);
-    /// * no widening point is unfrozen — the unfrozen region's fixpoint is
-    ///   then its unique least fixpoint, independent of visit order.
-    ///
-    /// `seeds` may be empty (nothing frozen) or must have `num_nodes()`
-    /// entries.  Statistics count only the work actually performed, so a
-    /// partial solve reports fewer visits than a cold one.
-    pub fn solve_seeded<P: DataflowProblem>(
-        &self,
-        problem: &mut P,
-        seeds: Vec<Option<P::State>>,
-    ) -> (Vec<P::State>, SolveStats) {
-        self.solve_core(problem, seeds)
-    }
-
-    fn solve_core<P: DataflowProblem>(
-        &self,
-        problem: &mut P,
-        mut seeds: Vec<Option<P::State>>,
-    ) -> (Vec<P::State>, SolveStats) {
         let n = problem.num_nodes();
-        assert!(
-            seeds.is_empty() || seeds.len() == n,
-            "seed vector length must match the node count"
-        );
-        seeds.resize_with(n, || None);
-        let frozen: Vec<bool> = seeds.iter().map(Option::is_some).collect();
-        let mut states: Vec<P::State> = seeds
-            .into_iter()
-            .enumerate()
-            .map(|(i, seed)| {
-                seed.or_else(|| problem.entry_state(i))
+        let mut states: Vec<P::State> = (0..n)
+            .map(|i| {
+                problem
+                    .entry_state(i)
                     .unwrap_or_else(|| problem.bottom_state())
             })
             .collect();
@@ -145,17 +99,8 @@ impl WorklistSolver {
         let mut visit_counts: Vec<u64> = vec![0; n];
         let mut stats = SolveStats::default();
 
-        // Unfrozen entry nodes start the iteration; frozen nodes on the
-        // frontier (having an unfrozen successor) are visited once to flow
-        // their converged state into the region being solved.
         let mut worklist: std::collections::VecDeque<usize> = (0..n)
-            .filter(|&i| {
-                if frozen[i] {
-                    problem.successors(i).iter().any(|&s| !frozen[s])
-                } else {
-                    problem.entry_state(i).is_some()
-                }
-            })
+            .filter(|&i| problem.entry_state(i).is_some())
             .collect();
         let mut in_worklist: Vec<bool> = vec![false; n];
         for &i in &worklist {
@@ -172,11 +117,6 @@ impl WorklistSolver {
             );
             let current = states[node].clone();
             for succ in problem.successors(node) {
-                if frozen[succ] {
-                    // Frozen states are already converged; re-joining them
-                    // is a no-op by the seeding contract, so skip the work.
-                    continue;
-                }
                 let flowed = problem.transfer(node, succ, &current);
                 let previous = states[succ].clone();
                 let mut changed = states[succ].join_in_place(&flowed);
@@ -299,71 +239,6 @@ mod tests {
         let (states, _) = WorklistSolver::new().solve(&mut problem);
         assert!(states[2].is_empty());
         assert_eq!(states[1], [0, 1].into_iter().collect());
-    }
-
-    #[test]
-    fn seeded_solve_with_no_seeds_matches_cold_solve() {
-        let mut cold = Reach {
-            edges: vec![vec![1, 2], vec![3], vec![3], vec![1]],
-        };
-        let (cold_states, cold_stats) = WorklistSolver::new().solve(&mut cold);
-        let mut seeded = Reach {
-            edges: vec![vec![1, 2], vec![3], vec![3], vec![1]],
-        };
-        let (states, stats) = WorklistSolver::new().solve_seeded(&mut seeded, Vec::new());
-        assert_eq!(states, cold_states);
-        assert_eq!(stats, cold_stats);
-    }
-
-    #[test]
-    fn seeded_solve_reuses_a_predecessor_closed_region() {
-        // 0 -> 1 -> 2 -> 3 -> 4, plus a back edge 4 -> 3.  Freezing the
-        // prefix {0, 1, 2} at its converged states must reproduce the cold
-        // result for {3, 4} while visiting only the frontier and the
-        // recomputed region.
-        let edges = vec![vec![1], vec![2], vec![3], vec![4], vec![3]];
-        let mut cold = Reach {
-            edges: edges.clone(),
-        };
-        let (cold_states, cold_stats) = WorklistSolver::new().solve(&mut cold);
-
-        let seeds: Vec<Option<BTreeSet<usize>>> = vec![
-            Some(cold_states[0].clone()),
-            Some(cold_states[1].clone()),
-            Some(cold_states[2].clone()),
-            None,
-            None,
-        ];
-        let mut partial = Reach { edges };
-        let (states, stats) = WorklistSolver::new().solve_seeded(&mut partial, seeds);
-        assert_eq!(states, cold_states);
-        assert!(
-            stats.node_visits < cold_stats.node_visits,
-            "partial solve must do less work ({} vs {})",
-            stats.node_visits,
-            cold_stats.node_visits
-        );
-    }
-
-    #[test]
-    fn seeded_solve_never_rejoins_frozen_nodes() {
-        // 0 -> 1 -> 0 cycle: node 1 frozen; popping 0 must skip the
-        // transfer into 1 entirely, leaving the seed untouched.
-        let seeds: Vec<Option<BTreeSet<usize>>> = vec![None, Some([7].into_iter().collect())];
-        let mut problem = Reach {
-            edges: vec![vec![1], vec![0]],
-        };
-        let (states, _) = WorklistSolver::new().solve_seeded(&mut problem, seeds);
-        assert_eq!(states[1], [7].into_iter().collect());
-    }
-
-    #[test]
-    #[should_panic(expected = "seed vector length")]
-    fn seeded_solve_rejects_mismatched_seed_length() {
-        let mut problem = Reach {
-            edges: vec![vec![1], vec![]],
-        };
-        let _ = WorklistSolver::new().solve_seeded(&mut problem, vec![None]);
     }
 
     #[test]

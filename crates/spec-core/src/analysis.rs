@@ -21,8 +21,6 @@ use crate::classify::{classify_accesses, AnalysisResult};
 use crate::engine::SpecProblem;
 use crate::options::AnalysisOptions;
 use crate::session::{Analyzer, Memo, Round, RoundKey};
-use crate::state::SpecState;
-use crate::summary::SummaryCtx;
 
 /// A configured must-hit cache analysis.
 ///
@@ -101,7 +99,6 @@ pub(crate) fn solve_prepared(
     amap: &Arc<AddressMap>,
     widen_nodes: &HashSet<usize>,
     round_cache: &Memo<RoundKey, Round>,
-    summary: SummaryCtx<'_>,
     start: Instant,
 ) -> AnalysisResult {
     let solver = WorklistSolver {
@@ -117,14 +114,6 @@ pub(crate) fn solve_prepared(
     /// statistics exactly as a fresh solve would.  The returned problem is
     /// freshly constructed either way — classification and the dynamic
     /// depth-bounding checks need its topology.
-    ///
-    /// An actually-solved round consults the summary context: when the
-    /// session adopted a donor whose seeding plan passed the gates *and*
-    /// the donor solved this very round, the frozen blocks transplant the
-    /// donor's converged states and only the invalidated region iterates.
-    /// The converged states are identical either way (the plan's gates
-    /// guarantee it); only the per-block hit/miss accounting and the
-    /// worklist-pop statistics differ.
     #[allow(clippy::too_many_arguments)]
     fn run_round<'a>(
         solver: &WorklistSolver,
@@ -135,7 +124,6 @@ pub(crate) fn solve_prepared(
         widen_nodes: &HashSet<usize>,
         bounds: Vec<u32>,
         round_cache: &Memo<RoundKey, Round>,
-        summary: &SummaryCtx<'_>,
         total: &mut SolveStats,
         rounds: &mut u32,
     ) -> (SpecProblem<'a>, Arc<Round>) {
@@ -157,31 +145,7 @@ pub(crate) fn solve_prepared(
             bounds,
             widen_nodes.clone(),
         );
-        let donor_round = summary
-            .seed
-            .as_ref()
-            .and_then(|(_, summaries)| summaries.donor_round(&key));
         let round = round_cache.get_or_insert_with(key, || {
-            let blocks = analyzed.blocks().len() as u64;
-            if let (Some((plan, _)), Some(donor)) = (&summary.seed, &donor_round) {
-                let seeds: Vec<Option<SpecState>> = plan
-                    .frozen
-                    .iter()
-                    .enumerate()
-                    .map(|(node, &frozen)| {
-                        frozen.then(|| donor.states[plan.donor_node[node] as usize].clone())
-                    })
-                    .collect();
-                let (states, stats) = solver.solve_seeded(&mut problem, seeds);
-                summary
-                    .store
-                    .record_round(plan.frozen_blocks, blocks - plan.frozen_blocks);
-                return Round {
-                    states: Arc::new(states),
-                    stats,
-                };
-            }
-            summary.store.record_round(0, blocks);
             let (states, stats) = solver.solve(&mut problem);
             Round {
                 states: Arc::new(states),
@@ -211,7 +175,6 @@ pub(crate) fn solve_prepared(
             widen_nodes,
             vec![0; num_colors],
             round_cache,
-            &summary,
             &mut total_stats,
             &mut rounds,
         )
@@ -225,7 +188,6 @@ pub(crate) fn solve_prepared(
             widen_nodes,
             vec![options.speculation.depth_on_miss; num_colors],
             round_cache,
-            &summary,
             &mut total_stats,
             &mut rounds,
         )
@@ -243,7 +205,6 @@ pub(crate) fn solve_prepared(
             widen_nodes,
             vec![0; num_colors],
             round_cache,
-            &summary,
             &mut total_stats,
             &mut rounds,
         );
@@ -272,7 +233,6 @@ pub(crate) fn solve_prepared(
                 widen_nodes,
                 bounds.clone(),
                 round_cache,
-                &summary,
                 &mut total_stats,
                 &mut rounds,
             );

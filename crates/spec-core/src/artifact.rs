@@ -13,8 +13,9 @@
 //!
 //! An artifact is addressed by the pair
 //!
-//! * **structural fingerprint** ([`spec_ir::fingerprint::program_fingerprint`])
-//!   — names the file and keys lookups, and
+//! * **artifact key** ([`artifact_key`]) — the structural fingerprint
+//!   ([`spec_ir::fingerprint::program_fingerprint`]) hashed together with
+//!   the program name; it names the file and keys lookups, and
 //! * **options/schema signature** ([`options_signature`]) — a hash over a
 //!   canonical description of the serialized traversal; any change to the
 //!   shape of [`crate::AnalysisOptions`] or to this module's encoding must
@@ -32,7 +33,8 @@
 //! a pure function of the session's contents whatever the thread schedule
 //! that filled it.
 
-use std::path::PathBuf;
+use std::io::Read;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use std::time::Instant;
@@ -40,12 +42,13 @@ use std::time::Instant;
 use spec_ir::fingerprint::{program_fingerprint, Fingerprint};
 use spec_ir::Program;
 use spec_store::codec::encode_to_vec;
-use spec_store::{fnv64, ArtifactStore, Codec, DecodeError, Decoder, Encoder, LoadOutcome};
+use spec_store::{
+    fnv64, ArtifactStore, Codec, DecodeError, Decoder, Encoder, LoadOutcome, ARTIFACT_HEADER_LEN,
+};
 use spec_telemetry::{Counter, Histogram, Registry};
 
 use crate::session::{Analyzer, Memo, PreparedCore, PreparedProgram, Round};
 use crate::state::SpecState;
-use crate::summary::{summary_keys, SummaryStore};
 
 /// Canonical description of the serialized traversal.
 ///
@@ -60,7 +63,6 @@ const PREPARED_SCHEMA: &str = "prepared-v2;\
  amaps[(line_size,num_sets,assoc)->{line_size,num_sets,base_blocks,block_counts}];\
  cores[(unroll_loops,{max_program_insts,max_trip_count})->{analyzed,\
  unroll{unrolled_loops,skipped_loops},widen_headers,\
- block_keys[per-block summary fingerprints],\
  vcfgs[(depth_on_miss,merge)->{graph{kinds,successors,entry},sites,config}],\
  rounds[(cache,shadow,widening_delay,depth_on_hit,merge,bounds)->\
  (states{normal,spec[color->{shadow,must,may}]},solve_stats)] in key order]}";
@@ -68,6 +70,16 @@ const PREPARED_SCHEMA: &str = "prepared-v2;\
 /// The options/schema signature embedded in every artifact header.
 pub fn options_signature() -> u64 {
     fnv64(PREPARED_SCHEMA.as_bytes())
+}
+
+/// The store key of a prepared program: its structural fingerprint hashed
+/// together with its program name.  The fingerprint alone is name-free, so
+/// two programs of the same structure under different names would
+/// otherwise overwrite each other's file.
+pub fn artifact_key(fingerprint: Fingerprint, name: &str) -> u64 {
+    let mut bytes = fingerprint.0.to_le_bytes().to_vec();
+    bytes.extend_from_slice(name.as_bytes());
+    fnv64(&bytes)
 }
 
 impl Codec for SpecState {
@@ -101,7 +113,6 @@ impl Codec for PreparedCore {
         self.analyzed.encode(e);
         self.unroll.encode(e);
         self.widen_headers.encode(e);
-        self.block_keys.encode(e);
         in_key_order(self.vcfgs.entries()).encode(e);
         in_key_order(self.rounds.entries()).encode(e);
     }
@@ -116,22 +127,10 @@ impl Codec for PreparedCore {
         {
             return Err(DecodeError::Invalid("widen header out of range"));
         }
-
-        let block_keys: Vec<u64> = Codec::decode(d)?;
-        if block_keys != summary_keys(&analyzed) {
-            return Err(DecodeError::Invalid(
-                "summary keys do not match the analyzed program",
-            ));
-        }
-
         Ok(PreparedCore {
             analyzed,
             unroll,
             widen_headers,
-            block_keys,
-            // A restored core has no donor: summaries come into play only
-            // when the incremental layer adopts across an edit.
-            summaries: None,
             vcfgs: Memo::from_entries(Codec::decode(d)?),
             rounds: Memo::from_entries(Codec::decode(d)?),
         })
@@ -180,10 +179,6 @@ pub fn decode_prepared(bytes: &[u8], analyzer: &Analyzer) -> Result<PreparedProg
         max_suite_threads: analyzer.max_suite_threads,
         cores,
         amaps,
-        // Donor adoption is a live-session act; a restored artifact starts
-        // with no pending donors and zeroed summary counters, exactly like
-        // a fresh prepare.
-        summaries: SummaryStore::new(),
     })
 }
 
@@ -227,6 +222,14 @@ impl StoreTelemetry {
     }
 }
 
+/// The structural fingerprint an artifact file embeds (the first payload
+/// field), read without loading the rest of the file.
+fn embedded_fingerprint(path: &Path) -> Option<Fingerprint> {
+    let mut head = [0u8; ARTIFACT_HEADER_LEN + 8];
+    std::fs::File::open(path).ok()?.read_exact(&mut head).ok()?;
+    Fingerprint::decode(&mut Decoder::new(&head[ARTIFACT_HEADER_LEN..])).ok()
+}
+
 /// An [`ArtifactStore`] specialised to prepared-program payloads: the
 /// second cache tier below [`crate::incremental::SessionCache`]'s in-memory
 /// entries.
@@ -267,19 +270,43 @@ impl PreparedStore {
         &self.store
     }
 
-    /// Loads and deserializes the artifact for `fingerprint`, if present
-    /// and valid.  Returns the restored session plus the payload size in
-    /// bytes (for the load-bytes counters).  Any failure — missing file,
-    /// header/checksum rejection, or a payload that fails to decode — comes
-    /// back as `None`, with the offending file quarantined, so callers fall
-    /// through to a cold prepare.
+    /// Loads and deserializes the artifact of the program `name` with
+    /// structural `fingerprint`, if present and valid.  Returns the
+    /// restored session plus the payload size in bytes (for the load-bytes
+    /// counters).  Any failure — missing file, header/checksum rejection,
+    /// or a payload that fails to decode — comes back as `None`, with the
+    /// offending file quarantined, so callers fall through to a cold
+    /// prepare.
+    pub fn load_named(
+        &self,
+        analyzer: &Analyzer,
+        fingerprint: Fingerprint,
+        name: &str,
+    ) -> Option<(PreparedProgram, u64)> {
+        self.load_key(analyzer, artifact_key(fingerprint, name))
+    }
+
+    /// Loads an artifact of *some* program with structural `fingerprint`,
+    /// whatever its name, for callers that hold a fingerprint but not the
+    /// program.  Files are keyed by name too, so this lists the store and
+    /// reads the fingerprint each artifact embeds; when several programs
+    /// share the structure, the one with the smallest key answers.  Fails
+    /// like [`PreparedStore::load_named`].
     pub fn load(
         &self,
         analyzer: &Analyzer,
         fingerprint: Fingerprint,
     ) -> Option<(PreparedProgram, u64)> {
+        let entries = self.store.entries().ok()?;
+        let entry = entries
+            .iter()
+            .find(|entry| embedded_fingerprint(&entry.path) == Some(fingerprint))?;
+        self.load_key(analyzer, entry.fingerprint)
+    }
+
+    fn load_key(&self, analyzer: &Analyzer, key: u64) -> Option<(PreparedProgram, u64)> {
         let started = Instant::now();
-        match self.store.load(fingerprint.0, self.signature) {
+        match self.store.load(key, self.signature) {
             LoadOutcome::Loaded(payload) => {
                 match decode_prepared(&payload, analyzer) {
                     Ok(prepared) => {
@@ -293,7 +320,7 @@ impl PreparedStore {
                         // The checksum matched but the payload did not
                         // decode: a schema drift the signature failed to
                         // catch.  Quarantine so it is never retried.
-                        self.store.reject(fingerprint.0);
+                        self.store.reject(key);
                         None
                     }
                 }
@@ -308,14 +335,12 @@ impl PreparedStore {
     pub fn save(&self, prepared: &PreparedProgram) -> std::io::Result<u64> {
         let payload = encode_prepared(prepared);
         let started = Instant::now();
-        let written =
-            self.store
-                .save_without_gc(prepared.fingerprint().0, self.signature, &payload)?;
+        let key = artifact_key(prepared.fingerprint(), prepared.program().name());
+        let written = self.store.save_without_gc(key, self.signature, &payload)?;
         if let Some(telemetry) = &self.telemetry {
             telemetry.persist_seconds.record(started.elapsed());
             telemetry.persisted_bytes.add(written);
         }
-        self.note_latest(prepared.program().name(), prepared.fingerprint());
         let gc_started = Instant::now();
         let _ = self.store.gc();
         if let Some(telemetry) = &self.telemetry {
@@ -324,61 +349,12 @@ impl PreparedStore {
         Ok(written)
     }
 
-    /// Path of the name-index sidecar for `name`.  Artifacts are keyed by
-    /// the name-free structural fingerprint, so after an edit nothing would
-    /// connect the new program to its predecessor's artifact; the sidecar
-    /// remembers, per program name, the fingerprint last persisted under
-    /// it.  It is purely advisory — a stale or colliding index costs a
-    /// failed donor load, never correctness.
-    fn named_index_path(&self, name: &str) -> PathBuf {
-        self.store
-            .dir()
-            .join(format!("name-{:016x}.latest", fnv64(name.as_bytes())))
-    }
-
-    /// Best-effort atomic update of the name index after a save.  The temp
-    /// name carries `.tmp.` so a crashed leftover is swept by the store GC.
-    fn note_latest(&self, name: &str, fingerprint: Fingerprint) {
-        let path = self.named_index_path(name);
-        let temp = self.store.dir().join(format!(
-            "name-{:016x}.tmp.{}",
-            fnv64(name.as_bytes()),
-            std::process::id()
-        ));
-        if std::fs::write(&temp, format!("{:016x}", fingerprint.0)).is_ok()
-            && std::fs::rename(&temp, &path).is_err()
-        {
-            let _ = std::fs::remove_file(&temp);
-        }
-    }
-
-    /// The *predecessor* artifact last persisted under `name`, if it is
-    /// still loadable and is not the `exclude` fingerprint itself — the
-    /// cross-restart donor for compositional summary reuse.  The decoded
-    /// program's name must match: the index is a 64-bit hash, so a
-    /// collision must read as a miss, not a donor.
-    pub(crate) fn donor(
-        &self,
-        analyzer: &Analyzer,
-        name: &str,
-        exclude: Fingerprint,
-    ) -> Option<PreparedProgram> {
-        let hex = std::fs::read_to_string(self.named_index_path(name)).ok()?;
-        let fingerprint = u64::from_str_radix(hex.trim(), 16).ok()?;
-        if fingerprint == exclude.0 {
-            return None;
-        }
-        let (prepared, _) = self.load(analyzer, Fingerprint(fingerprint))?;
-        (prepared.program().name() == name).then_some(prepared)
-    }
-
     /// Read-only full verification of every artifact in the store — the
     /// engine of `specan artifacts verify`.  Each file goes through the
     /// complete serve-path validation chain (header, checksum, options
-    /// signature, payload decode, embedded-fingerprint check) without
-    /// quarantining or touching recency.  Returns one `(fingerprint,
-    /// result)` row per file, sorted by fingerprint; `Ok` carries the
-    /// payload size in bytes.
+    /// signature, payload decode, embedded-key check) without
+    /// quarantining or touching recency.  Returns one `(key, result)` row
+    /// per file, sorted by key; `Ok` carries the payload size in bytes.
     ///
     /// # Errors
     ///
@@ -396,10 +372,13 @@ impl PreparedStore {
                 ) {
                     Err(reason) => Err(reason.to_string()),
                     Ok((_, payload)) => match decode_prepared(payload, analyzer) {
-                        Ok(prepared) if prepared.fingerprint().0 == entry.fingerprint => {
+                        Ok(prepared)
+                            if artifact_key(prepared.fingerprint(), prepared.program().name())
+                                == entry.fingerprint =>
+                        {
                             Ok(payload.len() as u64)
                         }
-                        Ok(_) => Err("embedded fingerprint mismatch".to_string()),
+                        Ok(_) => Err("embedded key mismatch".to_string()),
                         Err(err) => Err(format!("payload does not decode: {err}")),
                     },
                 },
@@ -580,7 +559,9 @@ mod tests {
             .without_timing();
         store.save(&prepared).unwrap();
 
-        let (restored, bytes) = store.load(&analyzer, prepared.fingerprint()).unwrap();
+        let (restored, bytes) = store
+            .load_named(&analyzer, prepared.fingerprint(), "stored")
+            .unwrap();
         assert!(bytes > 0);
         let report = restored
             .run_suite(&comparison_configs(cache))
@@ -590,14 +571,31 @@ mod tests {
 
         // Unknown fingerprint: miss.
         assert!(store
-            .load(&analyzer, Fingerprint(prepared.fingerprint().0 ^ 1))
+            .load_named(
+                &analyzer,
+                Fingerprint(prepared.fingerprint().0 ^ 1),
+                "stored"
+            )
             .is_none());
+        assert!(
+            store
+                .load_named(&analyzer, prepared.fingerprint(), "other")
+                .is_none(),
+            "the key covers the program name"
+        );
+        // A lookup by structure alone finds the program under its name.
+        let (found, _) = store.load(&analyzer, prepared.fingerprint()).unwrap();
+        assert_eq!(found.program().name(), "stored");
 
         // A different options signature rejects (and quarantines) the file.
         let mut stale = store.clone();
         stale.signature ^= 0xdead;
-        assert!(stale.load(&analyzer, prepared.fingerprint()).is_none());
-        assert!(store.load(&analyzer, prepared.fingerprint()).is_none());
+        assert!(stale
+            .load_named(&analyzer, prepared.fingerprint(), "stored")
+            .is_none());
+        assert!(store
+            .load_named(&analyzer, prepared.fingerprint(), "stored")
+            .is_none());
 
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -471,8 +471,8 @@ pub struct ScanOutcome {
     /// Programs restored from the artifact store with their memoized
     /// rounds.
     pub reused: usize,
-    /// Programs prepared by this run: cold, or seeded from the block
-    /// summaries of the artifact last stored under their name.
+    /// Programs prepared by this run: new, edited, or missing from the
+    /// store.
     pub analyzed: usize,
 }
 
@@ -506,14 +506,13 @@ pub fn run_bundle(
 /// [`CacheSession`] on `jobs` scoped threads, each program's panel on one
 /// thread (so `jobs` never fans out into `jobs × configs` threads).
 /// With a `store`, an unchanged program loads with its memoized rounds,
-/// and an edited one is seeded from the block summaries of the artifact
-/// last stored under its name; each program is persisted as soon as its
+/// and an edited one re-prepares; each program is persisted as soon as its
 /// panel has filled its rounds.  Loads are name-exact, so a rename
 /// prepares afresh.
 ///
 /// The report is **bit-identical** however the bundle is sliced and
 /// threaded and whatever the store held: verdicts are timing-stripped, and
-/// restored and seeded sessions answer exactly like cold ones.  Store
+/// restored sessions answer exactly like cold ones.  Store
 /// failures are never errors; they cost warmth only.
 ///
 /// # Errors

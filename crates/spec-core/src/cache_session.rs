@@ -498,11 +498,6 @@ impl CacheSession {
         self.overlay(relock(&self.inner.cache).stats())
     }
 
-    /// The summed summary hits of every L1-resident program.
-    pub(crate) fn summary_hits(&self) -> u64 {
-        relock(&self.inner.cache).summary_hits()
-    }
-
     /// The current invalidation generation — lock-free.
     pub fn generation(&self) -> u64 {
         self.inner.generation.load(Ordering::Acquire)
@@ -530,7 +525,7 @@ impl CacheSession {
 
     /// The summed byte estimate of every L1-resident entry, measured now.
     /// L0-pinned handles are not additional memory: every L0 entry is an
-    /// `Arc` onto (at most [`L0_CAPACITY`] per worker of) the same
+    /// `Arc` onto (at most `L0_CAPACITY` per worker of) the same
     /// sessions, resident or recently evicted.
     pub fn resident_bytes(&self) -> u64 {
         relock(&self.inner.cache).resident_bytes()

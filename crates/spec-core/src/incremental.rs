@@ -14,21 +14,19 @@
 //! [`SessionCache::max_session_bytes`]); every resolve goes through
 //! [`CacheSession::acquire`].  An unchanged program is served warm, with
 //! every memoized unroll variant, address map, VCFG and fixpoint round.  An
-//! edited or renamed program misses, and its commit re-prepares it: when
-//! the region table is structurally unchanged, the new session adopts the
-//! replaced entry's address maps and takes its fixpoint summaries as
-//! per-block seeds (unchanged blocks transplant their converged states;
-//! edited blocks and their transitive dependents re-solve — see
-//! `spec_core::summary`).  Editing one program of a multi-program session
-//! leaves every other program's artifacts bound.  A byte budget
+//! edited or renamed program misses, and its commit re-prepares it through
+//! the same cold path as a new program; when the region table is
+//! structurally unchanged, the new session adopts the replaced entry's
+//! address maps.  Editing one program of a multi-program session leaves
+//! every other program's artifacts bound.  A byte budget
 //! ([`SessionCache::max_session_bytes`]) evicts whole programs, least
 //! recently used first, which trades re-preparation for memory but never
 //! changes a result.
 //!
 //! Across processes, the one persistent form is the artifact store
 //! ([`SessionCache::artifact_store`]): misses load prepared sessions, with
-//! their memoized rounds, by fingerprint, and an edited program is seeded
-//! from the artifact last stored under its name.  `specan serve`, `specan
+//! their memoized rounds, by fingerprint and program name, and an edited
+//! program re-prepares.  `specan serve`, `specan
 //! analyze --incremental` and `specan scan --session-dir` all open their
 //! directory this way (the latter through [`crate::batch::run_bundle_slice`]).
 //!
@@ -207,8 +205,8 @@ pub struct SessionStats {
     /// store loads.
     pub inserted: u64,
     /// Address-map tables a re-prepared program adopted from the entry it
-    /// replaced, or from its store-tier predecessor, because the edit left
-    /// the region table structurally unchanged.
+    /// replaced, because the edit left the region table structurally
+    /// unchanged.
     pub amaps_adopted: u64,
     /// Whole [`PreparedProgram`]s evicted by the byte budget
     /// ([`SessionCache::max_session_bytes`]), least recently used first.
@@ -226,8 +224,8 @@ pub struct SessionStats {
     /// [`CacheOutcome::StoreHit`]: crate::cache_session::CacheOutcome::StoreHit
     pub store_hits: u64,
     /// Store lookups that found no usable artifact (missing file, rejected
-    /// file, or a fingerprint collision under different names) and fell
-    /// through to a cold preparation.  Zero when no store is configured.
+    /// file, or a stored program whose region or block names differ) and
+    /// fell through to a cold preparation.  Zero when no store is configured.
     pub store_misses: u64,
     /// Total payload bytes deserialized across every store hit.
     pub store_loaded_bytes: u64,
@@ -289,10 +287,10 @@ pub struct SessionCache {
     /// proves the sizes did not move — the enforcement pass (sort plus
     /// re-measure) is skipped.  Cleared by every entry-set mutation.
     budget_mark: Option<(usize, u64)>,
-    /// Optional on-disk tier below the in-memory entries: misses try a
-    /// fingerprint-keyed artifact load before falling back to a cold
-    /// preparation, installs write through, and evictions persist dirty
-    /// entries first.
+    /// Optional on-disk tier below the in-memory entries: misses try an
+    /// artifact load (keyed by fingerprint and program name) before falling
+    /// back to a cold preparation, installs write through, and evictions
+    /// persist dirty entries first.
     store: Option<PreparedStore>,
 }
 
@@ -473,11 +471,11 @@ impl SessionCache {
     /// The first half of the two-phase resolve behind
     /// `CacheSession::acquire`, run under its lock: the in-memory entry when
     /// its structural fingerprint matches (counted as a reuse), then — when
-    /// an artifact store is configured — a fingerprint-keyed disk load,
-    /// deserialized, verified against the requested program and installed
-    /// as a resident entry.  Returns which tier answered; `None` means the
-    /// caller must prepare cold, outside the lock, and
-    /// [`SessionCache::install`] the result.
+    /// an artifact store is configured — a disk load keyed by fingerprint
+    /// and program name, deserialized, verified against the requested
+    /// program and installed as a resident entry.  Returns which tier
+    /// answered; `None` means the caller must prepare cold, outside the
+    /// lock, and [`SessionCache::install`] the result.
     ///
     /// The fingerprint is name-free, so a pure rename (same structure,
     /// different region or block names) still answers from memory; a
@@ -514,7 +512,7 @@ impl SessionCache {
         fingerprint: Fingerprint,
     ) -> Option<(Arc<PreparedProgram>, u64)> {
         let store = self.store.as_ref()?;
-        match store.load(&self.analyzer, fingerprint) {
+        match store.load_named(&self.analyzer, fingerprint, program.name()) {
             Some((prepared, bytes)) if prepared.program() == program => {
                 self.stats.store_hits += 1;
                 self.stats.store_loaded_bytes += bytes;
@@ -574,12 +572,11 @@ impl SessionCache {
 
     /// Second half of the two-phase resolve, behind `PrepareGuard::commit`:
     /// installs an externally prepared session, replacing whatever the name
-    /// currently maps to (adopting the predecessor's address maps and
-    /// summaries when the region table is structurally unchanged — a
-    /// rename-only replacement qualifies trivially).  Every replacement
-    /// counts as an invalidation, renames included, so the counters show a
-    /// re-preparation happened even when the structural fingerprint did
-    /// not move.  Last-writer-wins by design: racing cold preparations of
+    /// currently maps to (adopting the predecessor's address maps when the
+    /// region table is structurally unchanged — a rename-only replacement
+    /// qualifies trivially).  Every replacement counts as an invalidation,
+    /// renames included, so the counters show a re-preparation happened
+    /// even when the structural fingerprint did not move.  Last-writer-wins by design: racing cold preparations of
     /// one program produce interchangeable sessions, and a name-exact
     /// acquire relies on replacement to retire an entry whose *names* went
     /// stale.
@@ -587,40 +584,8 @@ impl SessionCache {
     /// With an artifact store configured the installed session is written
     /// through to disk, so a later restart loads it instead of preparing.
     pub(crate) fn install(&mut self, prepared: Arc<PreparedProgram>) -> Arc<PreparedProgram> {
-        // The donor lookup must precede the write-through: persisting
-        // repoints the store's name index at the incoming session itself.
-        if !self.entries.contains_key(prepared.program().name()) {
-            self.adopt_store_donor(&prepared);
-        }
         let persisted = self.persist_now(&prepared);
         self.install_with(prepared, persisted)
-    }
-
-    /// Cross-restart compositional reuse: a fresh-name install may still
-    /// have a *predecessor* on the store tier — the artifact last persisted
-    /// under this program's name, found through the store's name index
-    /// (fingerprints alone are name-free, so after an edit nothing else
-    /// connects the new program to its donor).  A region-table-preserving
-    /// predecessor donates address maps and fixpoint summaries exactly like
-    /// an in-memory one; the per-block structural gates at seeding time
-    /// keep a stale or colliding index harmless.
-    fn adopt_store_donor(&mut self, prepared: &Arc<PreparedProgram>) {
-        let Some(store) = self.store.as_ref() else {
-            return;
-        };
-        let Some(donor) = store.donor(
-            &self.analyzer,
-            prepared.program().name(),
-            prepared.fingerprint(),
-        ) else {
-            return;
-        };
-        if regions_fingerprint(donor.program().regions())
-            == regions_fingerprint(prepared.program().regions())
-        {
-            self.stats.amaps_adopted += prepared.adopt_address_maps(&donor);
-            prepared.adopt_summaries(&donor);
-        }
     }
 
     fn install_with(
@@ -638,12 +603,6 @@ impl SessionCache {
                 self.stats.invalidated += 1;
                 if entry.regions == regions {
                     self.stats.amaps_adopted += prepared.adopt_address_maps(&entry.prepared);
-                    // Same gate for the fixpoint summaries: the donor's
-                    // converged states embed its memory layout, so only a
-                    // region-table-preserving replacement may seed from
-                    // them.  Block-level invalidation happens later, when
-                    // the matching unroll variant is built.
-                    prepared.adopt_summaries(&entry.prepared);
                 }
                 *entry = SessionEntry::new(fingerprint, regions, tick, prepared.clone(), persisted);
                 // The replaced handle may still be pinned by an L0 tier —
@@ -680,15 +639,6 @@ impl SessionCache {
             ..self.stats
         }
     }
-
-    /// The summary hits of every resident program, summed: the sample the
-    /// service's summary-reuse counter grows by.
-    pub(crate) fn summary_hits(&self) -> u64 {
-        self.entries
-            .values()
-            .map(|entry| entry.prepared.cache_stats().summary_hits)
-            .sum()
-    }
 }
 
 impl Default for SessionCache {
@@ -700,6 +650,7 @@ impl Default for SessionCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::artifact::artifact_key;
     use crate::batch::{
         run_bundle, run_bundle_slice, BatchReport, ExecMode, PanelKind, PanelSpec, ScanOutcome,
     };
@@ -1087,10 +1038,10 @@ mod tests {
     #[test]
     fn incremental_scan_reuses_unchanged_programs_and_matches_fresh() {
         let scratch = Scratch::new();
-        // Two structures: the store keys artifacts by structural
-        // fingerprint, so same-structure programs would share one file.
+        // One structure under two names: the store keys artifacts by
+        // fingerprint and program name, so each keeps its own file.
         let a = scratch.write("a.spec", &spec_source("alpha", 0));
-        let b = scratch.write("b.spec", &spec_source("beta", 16));
+        let b = scratch.write("b.spec", &spec_source("beta", 0));
         let files = vec![a, b];
         let store = scratch.0.join("store");
 
@@ -1199,7 +1150,7 @@ mod tests {
         // cold session answers exactly like the first.
         let path = PreparedStore::open(&store)
             .store()
-            .path_for(program_fingerprint(&p).0);
+            .path_for(artifact_key(program_fingerprint(&p), p.name()));
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
         let second = store_session(&store);

@@ -86,7 +86,6 @@ pub mod options;
 pub mod service;
 pub mod session;
 pub mod state;
-mod summary;
 
 pub use analysis::CacheAnalysis;
 pub use artifact::{options_signature, PreparedStore};

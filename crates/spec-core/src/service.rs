@@ -88,7 +88,7 @@ use std::io::{self, BufRead as _, BufReader, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs as _};
 use std::num::NonZeroUsize;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -893,13 +893,6 @@ struct ServeTelemetry {
     phase_persist: Histogram,
     programs: Gauge,
     resident_bytes: Gauge,
-    /// Block summaries transplanted from a donor fixpoint instead of
-    /// re-solved (see `spec_core::summary`).  Sampled at scrape time from
-    /// the session cache's aggregate and kept monotone through
-    /// `summary_reuse_seen`: entry evictions shrink the aggregate, which a
-    /// counter must never reflect as a decrease.
-    summary_reuse: spec_telemetry::Counter,
-    summary_reuse_seen: AtomicU64,
 }
 
 impl ServeTelemetry {
@@ -935,12 +928,6 @@ impl ServeTelemetry {
                 "Estimated bytes of resident prepared sessions.",
                 &[],
             ),
-            summary_reuse: registry.counter(
-                "spec_summary_reuse_total",
-                "Block summaries transplanted from a donor fixpoint instead of re-solved.",
-                &[],
-            ),
-            summary_reuse_seen: AtomicU64::new(0),
             registry,
         }
     }
@@ -1478,16 +1465,6 @@ fn metrics_output(state: &ServerState) -> String {
         .telemetry
         .resident_bytes
         .set(state.sessions.resident_bytes() as f64);
-    // Reconcile the monotone reuse counter against the sampled aggregate:
-    // only growth since the last sample is added, so evictions (which
-    // shrink the aggregate) never read as a counter decrease — at worst
-    // their unsampled tail is under-counted, never negative.
-    let hits = state.sessions.summary_hits();
-    let seen = state
-        .telemetry
-        .summary_reuse_seen
-        .swap(hits, Ordering::AcqRel);
-    state.telemetry.summary_reuse.add(hits.saturating_sub(seen));
     state.telemetry.registry.render()
 }
 

@@ -75,7 +75,6 @@ use crate::classify::AnalysisResult;
 use crate::json;
 use crate::options::AnalysisOptions;
 use crate::state::SpecState;
-use crate::summary::{summary_keys, CoreSummaries, DonorSnapshot, SummaryCtx, SummaryStore};
 
 /// Entry point of the session API: a factory for [`PreparedProgram`]s.
 ///
@@ -111,7 +110,6 @@ impl Analyzer {
             max_suite_threads: self.max_suite_threads,
             cores: Memo::new(),
             amaps: Memo::new(),
-            summaries: SummaryStore::new(),
         }
     }
 }
@@ -284,14 +282,6 @@ pub(crate) struct PreparedCore {
     pub(crate) unroll: UnrollReport,
     /// Headers of the loops that survived unrolling — the widening points.
     pub(crate) widen_headers: Vec<BlockId>,
-    /// Per-block summary keys of `analyzed` (structural block
-    /// fingerprints): what the compositional-reuse matcher compares, and
-    /// what the artifact tier persists alongside the rounds.
-    pub(crate) block_keys: Vec<u64>,
-    /// The donor adopted at construction time, when the incremental layer
-    /// offered one for this unroll variant: per-block matching plus the
-    /// memoized per-VCFG seeding plans.  `None` for cold cores.
-    pub(crate) summaries: Option<CoreSummaries>,
     /// Virtual CFGs, memoized per speculation structure.
     pub(crate) vcfgs: Memo<VcfgKey, Vcfg>,
     /// Fixpoint rounds, memoized per solver input.
@@ -299,12 +289,7 @@ pub(crate) struct PreparedCore {
 }
 
 impl PreparedCore {
-    fn new(
-        program: &Program,
-        key: UnrollKey,
-        donor: Option<DonorSnapshot>,
-        store: &SummaryStore,
-    ) -> Self {
+    fn new(program: &Program, key: UnrollKey) -> Self {
         let (analyzed, unroll) = if key.0 {
             unroll_counted_loops(program, key.1)
         } else {
@@ -313,14 +298,10 @@ impl PreparedCore {
         let cfg = Cfg::new(&analyzed);
         let forest = LoopForest::find(&analyzed, &cfg);
         let widen_headers = forest.loops().iter().map(|l| l.header).collect();
-        let block_keys = summary_keys(&analyzed);
-        let summaries = donor.map(|d| CoreSummaries::build(&analyzed, &block_keys, d, store));
         Self {
             analyzed: Arc::new(analyzed),
             unroll,
             widen_headers,
-            block_keys,
-            summaries,
             vcfgs: Memo::new(),
             rounds: Memo::new(),
         }
@@ -346,8 +327,6 @@ impl HeapSize for PreparedCore {
     fn heap_size(&self) -> usize {
         self.analyzed.heap_size()
             + self.widen_headers.heap_size()
-            + self.block_keys.heap_size()
-            + self.summaries.as_ref().map_or(0, HeapSize::heap_size)
             + self.vcfgs.heap_bytes()
             + self.rounds.heap_bytes()
     }
@@ -362,12 +341,7 @@ impl HeapSize for PreparedCore {
 ///   incremental layer (possible because the memory layout is a pure
 ///   function of the region table, which the edit left untouched);
 /// * *vcfgs* — virtual CFGs (one per speculation structure);
-/// * *rounds* — memoized fixpoint rounds;
-/// * *summaries* — per-block fixpoint summaries (see `spec_core::summary`):
-///   a hit is a block whose converged states were transplanted from an
-///   adopted pre-edit session, a miss a block solved by iteration, and
-///   *invalidated* counts the blocks an adoption discarded (edited blocks
-///   plus transitive dependents).
+/// * *rounds* — memoized fixpoint rounds.
 ///
 /// For every row `hits + misses` equals the number of times the artifact
 /// was requested, and a miss is the one build of that artifact: every table
@@ -396,18 +370,6 @@ pub struct CacheStats {
     pub round_hits: u64,
     /// Fixpoint rounds actually solved.
     pub round_misses: u64,
-    /// Per-block summaries transplanted from an adopted donor session
-    /// instead of re-solved, accumulated over every actually-solved round.
-    /// Zero unless the incremental layer adopted a prior session.
-    pub summary_hits: u64,
-    /// Per-block summaries solved by fixpoint iteration, accumulated over
-    /// every actually-solved round (a cold solve counts all its blocks
-    /// here, so `summary_hits + summary_misses` is the total number of
-    /// block summaries the session established).
-    pub summary_misses: u64,
-    /// Block summaries invalidated at donor-adoption time: the edited
-    /// blocks plus their transitive dependents over the block CFG.
-    pub summaries_invalidated: u64,
 }
 
 impl CacheStats {
@@ -436,15 +398,7 @@ impl fmt::Display for CacheStats {
             self.vcfg_misses,
             self.round_hits,
             self.round_misses
-        )?;
-        if self.summary_hits > 0 || self.summaries_invalidated > 0 {
-            write!(
-                f,
-                ", summaries {}h/{}m ({} invalidated)",
-                self.summary_hits, self.summary_misses, self.summaries_invalidated
-            )?;
-        }
-        Ok(())
+        )
     }
 }
 
@@ -465,11 +419,6 @@ pub struct PreparedProgram {
     /// unroll variant shares one map per geometry, and the incremental
     /// layer can rebind them across edits that leave the regions untouched.
     pub(crate) amaps: Memo<CacheConfig, AddressMap>,
-    /// The compositional-summary tier: donor snapshots pending adoption
-    /// (stashed by [`PreparedProgram::adopt_summaries`], consumed when the
-    /// matching unroll variant's core is built) and the session's summary
-    /// hit/miss/invalidation accounting.
-    pub(crate) summaries: SummaryStore,
 }
 
 impl PreparedProgram {
@@ -486,10 +435,8 @@ impl PreparedProgram {
 
     fn core(&self, options: &AnalysisOptions) -> Arc<PreparedCore> {
         let key: UnrollKey = (options.unroll_loops, options.unroll);
-        self.cores.get_or_insert_with(key, || {
-            let donor = self.summaries.take(&key);
-            PreparedCore::new(&self.program, key, donor, &self.summaries)
-        })
+        self.cores
+            .get_or_insert_with(key, || PreparedCore::new(&self.program, key))
     }
 
     fn amap(&self, cache: CacheConfig) -> Arc<AddressMap> {
@@ -512,38 +459,11 @@ impl PreparedProgram {
         adopted
     }
 
-    /// Snapshots every unroll variant of `donor` as a pending summary
-    /// source for this session (see `spec_core::summary`): when this
-    /// session builds the matching variant, unchanged blocks seed their
-    /// fixpoint states from the snapshot instead of re-solving.
-    ///
-    /// Like [`PreparedProgram::adopt_address_maps`], the *caller* gates the
-    /// call — [`crate::incremental::SessionCache`] only adopts across edits
-    /// that preserve the region table (`regions_fingerprint`), because the
-    /// donor's converged states embed the donor's memory layout.  Within
-    /// that gate, reuse is further validated structurally per block and per
-    /// VCFG at seeding time, so adoption never changes results — only how
-    /// much of the fixpoint is recomputed.  Returns the number of variants
-    /// stashed.
-    pub(crate) fn adopt_summaries(&self, donor: &PreparedProgram) -> u64 {
-        let mut stashed = 0;
-        for (key, core) in donor.cores.entries() {
-            self.summaries.stash(key, DonorSnapshot::of(&core));
-            stashed += 1;
-        }
-        stashed
-    }
-
     /// The cumulative [`CacheStats`] of this session.
     pub fn cache_stats(&self) -> CacheStats {
         let mut stats = CacheStats::default();
         (stats.core_hits, stats.core_misses, _) = self.cores.counts();
         (stats.amap_hits, stats.amap_misses, stats.amap_adopted) = self.amaps.counts();
-        (
-            stats.summary_hits,
-            stats.summary_misses,
-            stats.summaries_invalidated,
-        ) = self.summaries.counts();
         for (_, core) in self.cores.entries() {
             let (vh, vm, _) = core.vcfgs.counts();
             stats.vcfg_hits += vh;
@@ -590,15 +510,6 @@ impl PreparedProgram {
             .iter()
             .map(|header| vcfg.graph().first_node_of_block(*header).index())
             .collect();
-        let vcfg_key: VcfgKey = (spec.depth_on_miss, spec.merge_strategy);
-        let summary = SummaryCtx {
-            seed: core.summaries.as_ref().and_then(|summaries| {
-                summaries
-                    .seed_for(vcfg_key, &core.analyzed, &vcfg, &widen_nodes)
-                    .map(|plan| (plan, summaries))
-            }),
-            store: &self.summaries,
-        };
         solve_prepared(
             options,
             &core.analyzed,
@@ -607,7 +518,6 @@ impl PreparedProgram {
             &amap,
             &widen_nodes,
             &core.rounds,
-            summary,
             start,
         )
     }
@@ -828,8 +738,8 @@ impl Report {
     /// makes [`crate::batch`] reports mergeable and diffable in CI.
     ///
     /// Per-row `iterations` (worklist pops) are stripped too: they describe
-    /// how much of the fixpoint was *recomputed*, which compositional
-    /// summary seeding legitimately shrinks without changing any result.
+    /// how the fixpoint was computed, not what it computed, so a solver
+    /// change that keeps every result keeps the stripped bytes.
     pub fn without_timing(mut self) -> Report {
         self.elapsed = None;
         self.cache = None;
@@ -858,9 +768,7 @@ impl Report {
                 "  \"session_cache\": {{\"core_hits\": {}, \"core_misses\": {}, \
                  \"amap_hits\": {}, \"amap_misses\": {}, \"amap_adopted\": {}, \
                  \"vcfg_hits\": {}, \"vcfg_misses\": {}, \"round_hits\": {}, \
-                 \"round_misses\": {}, \
-                 \"summary_hits\": {}, \"summary_misses\": {}, \
-                 \"summaries_invalidated\": {}}},\n",
+                 \"round_misses\": {}}},\n",
                 cache.core_hits,
                 cache.core_misses,
                 cache.amap_hits,
@@ -869,10 +777,7 @@ impl Report {
                 cache.vcfg_hits,
                 cache.vcfg_misses,
                 cache.round_hits,
-                cache.round_misses,
-                cache.summary_hits,
-                cache.summary_misses,
-                cache.summaries_invalidated
+                cache.round_misses
             ));
         }
         out.push_str("  \"runs\": [\n");
@@ -1009,8 +914,7 @@ pub struct ReportRow {
     /// Conditional branches that may speculate.
     pub speculated_branches: usize,
     /// Fixpoint iterations (worklist pops) across all rounds.  Execution
-    /// detail, not a result: summary seeding shrinks it without changing
-    /// any classification, so [`Report::without_timing`] zeroes it.
+    /// detail, not a result, so [`Report::without_timing`] zeroes it.
     pub iterations: u64,
     /// Fixpoint rounds (1 unless dynamic depth bounding refined).
     pub rounds: u32,

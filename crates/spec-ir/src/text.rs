@@ -1,4 +1,4 @@
-//! Parser for the textual program format emitted by the [`Display`]
+//! Parser for the textual program format emitted by the [`std::fmt::Display`]
 //! implementation of [`Program`] (see [`crate::display`]).
 //!
 //! The grammar is line-based:

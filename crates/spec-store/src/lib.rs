@@ -19,9 +19,9 @@
 //!   temp-file+rename writes, and byte-budget GC by recency (mtime), the same
 //!   eviction-policy shape the session cache uses in memory.
 //!
-//! The *content address* of an artifact is the pair (structural program
-//! fingerprint, options-schema signature): the fingerprint keys the file name
-//! and the signature guards against loading artifacts produced by an
+//! The *content address* of an artifact is the pair (key fingerprint,
+//! options-schema signature): the fingerprint keys the file name and the
+//! signature guards against loading artifacts produced by an
 //! incompatible build.  Decoding never panics on corrupt input — every length
 //! is bounds-checked against the remaining payload and every tag validated —
 //! so a damaged file degrades to a clean cold prepare.
@@ -33,5 +33,5 @@ pub mod store;
 pub use codec::{Codec, DecodeError, Decoder, Encoder};
 pub use store::{
     fnv64, ArtifactHeader, ArtifactStore, GcStats, LoadOutcome, RejectReason, StoreEntry,
-    ARTIFACT_FORMAT_VERSION, ARTIFACT_MAGIC,
+    ARTIFACT_FORMAT_VERSION, ARTIFACT_HEADER_LEN, ARTIFACT_MAGIC,
 };

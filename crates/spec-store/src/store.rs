@@ -8,7 +8,7 @@
 //! offset  size  field
 //! 0       8     magic "SPECARTF"
 //! 8       4     format version (u32 LE)
-//! 12      8     structural fingerprint (u64 LE) — also the file name
+//! 12      8     key fingerprint (u64 LE) — also the file name
 //! 20      8     options/schema signature (u64 LE)
 //! 28      8     payload length in bytes (u64 LE)
 //! 36      8     FNV-1a checksum of the payload (u64 LE)
@@ -44,10 +44,10 @@ pub const ARTIFACT_MAGIC: &[u8; 8] = b"SPECARTF";
 /// Bump this whenever the encoding of any serialized type changes shape;
 /// stores written by older versions then read as [`RejectReason::Version`]
 /// and fall back to a cold prepare instead of decoding garbage.
-pub const ARTIFACT_FORMAT_VERSION: u32 = 1;
+pub const ARTIFACT_FORMAT_VERSION: u32 = 2;
 
 /// Header length in bytes.
-const HEADER_LEN: usize = 44;
+pub const ARTIFACT_HEADER_LEN: usize = 44;
 
 /// File extension of valid artifacts.
 const ARTIFACT_EXT: &str = "artifact";
@@ -105,7 +105,7 @@ impl fmt::Display for RejectReason {
 pub struct ArtifactHeader {
     /// Format version the file was written with.
     pub version: u32,
-    /// Structural fingerprint the artifact is keyed by.
+    /// Fingerprint the artifact is keyed by.
     pub fingerprint: u64,
     /// Options/schema signature of the writing build.
     pub signature: u64,
@@ -215,7 +215,7 @@ impl ArtifactStore {
         payload: &[u8],
     ) -> io::Result<u64> {
         fs::create_dir_all(&self.dir)?;
-        let mut file = Vec::with_capacity(HEADER_LEN + payload.len());
+        let mut file = Vec::with_capacity(ARTIFACT_HEADER_LEN + payload.len());
         file.extend_from_slice(ARTIFACT_MAGIC);
         file.extend_from_slice(&ARTIFACT_FORMAT_VERSION.to_le_bytes());
         file.extend_from_slice(&fingerprint.to_le_bytes());
@@ -381,7 +381,7 @@ pub fn parse_artifact(
     expect_fingerprint: Option<u64>,
     expect_signature: Option<u64>,
 ) -> Result<(ArtifactHeader, &[u8]), RejectReason> {
-    if bytes.len() < HEADER_LEN {
+    if bytes.len() < ARTIFACT_HEADER_LEN {
         return Err(RejectReason::Truncated);
     }
     if &bytes[0..8] != ARTIFACT_MAGIC {
@@ -405,7 +405,7 @@ pub fn parse_artifact(
     if expect_signature.is_some_and(|sig| sig != header.signature) {
         return Err(RejectReason::Signature);
     }
-    let payload = &bytes[HEADER_LEN..];
+    let payload = &bytes[ARTIFACT_HEADER_LEN..];
     if payload.len() as u64 != header.payload_len {
         return Err(RejectReason::Truncated);
     }

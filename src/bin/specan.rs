@@ -38,8 +38,8 @@
 //! bundle across CI machines).  `scan` also accepts directories (searched
 //! recursively for `*.spec`), `--panel <leak-check|comparison>` and
 //! `--artifact-dir DIR` (or `--session-dir DIR`): unchanged programs then
-//! load from the store with their memoized rounds, and edited ones re-solve
-//! only what the edit touched.  Its merged JSON report is deterministic —
+//! load from the store with their memoized rounds, and edited ones
+//! re-prepare.  Its merged JSON report is deterministic —
 //! bit-identical however the bundle was sliced and whatever the store held.
 //!
 //! Exit codes: `0` success (no leak), `1` leak detected (`leaks` and `scan`),
@@ -160,8 +160,8 @@ fn usage() -> String {
      \x20         output becomes an array); --incremental keeps prepared\n\
      \x20         programs in an artifact store (default .specan-session;\n\
      \x20         --session-dir is the older spelling of --artifact-dir):\n\
-     \x20         unchanged programs load with their fixpoint rounds, edited\n\
-     \x20         ones re-solve only what the edit touched;\n\
+     \x20         unchanged programs load from the store with their\n\
+     \x20         fixpoint rounds, edited ones re-prepare;\n\
      \x20         --max-session-bytes N bounds the in-memory session\n\
      compare   prepare once, run the standard configuration panel in parallel\n\
      \x20         [--jobs N] [--shard K/N]; several files allowed (JSON output\n\
@@ -174,8 +174,8 @@ fn usage() -> String {
      \x20         [--jobs N] [--shard K/N] [--panel <leak-check|comparison>]\n\
      \x20         [--artifact-dir DIR] (or --session-dir DIR): programs\n\
      \x20         unchanged since the last scan against the store load from\n\
-     \x20         it, edited ones re-solve only what the edit touched (the\n\
-     \x20         merged report stays bit-identical to a fresh scan)\n\
+     \x20         it, edited ones re-prepare (the merged report stays\n\
+     \x20         bit-identical to a fresh scan)\n\
      merge     verified fan-in of sharded scan/compare artifacts: checks the\n\
      \x20         slices share one bundle checksum and tile it completely,\n\
      \x20         then prints the merged report; exits 1 if any program\n\
@@ -671,20 +671,6 @@ fn analyze_one(
     };
     let grown_from = prepared.growth_stamp();
     let output = service::analyze_output(&prepared, &config)?;
-    // Compositional-reuse accounting: when this preparation was seeded from
-    // a donor (in-memory predecessor or the store's name index), say how
-    // many block summaries were transplanted vs re-solved — the line that
-    // proves an incremental edit did *not* redo the whole fixpoint.
-    let stats = prepared.cache_stats();
-    if stats.summary_hits > 0 || stats.summaries_invalidated > 0 {
-        eprintln!(
-            "session: summaries {}h/{}m ({} invalidated) `{}`",
-            stats.summary_hits,
-            stats.summary_misses,
-            stats.summaries_invalidated,
-            path.display()
-        );
-    }
     // Persist *after* the run, so a stored artifact carries the fixpoint
     // rounds this configuration filled and the next run loads them.
     // Writes are best-effort: a failure only costs warmth, never output.

@@ -25,6 +25,7 @@ use spec_bench::service_harness::{
     random_program_text, strip_analyze_timing, Rng, Scratch, ServeProcess,
 };
 use speculative_absint::cache::CacheConfig;
+use speculative_absint::core::artifact::artifact_key;
 use speculative_absint::core::cache_session::{CacheOutcome, CacheSession};
 use speculative_absint::core::incremental::SessionCache;
 use speculative_absint::core::session::{comparison_configs, Analyzer, PreparedProgram};
@@ -125,9 +126,10 @@ fn store_round_trips_reproduce_cold_reports_bit_for_bit() {
 // Corruption robustness: every damaged file falls back to a cold prepare.
 // ---------------------------------------------------------------------------
 
-/// The on-disk path of `fingerprint`'s artifact inside `dir`.
-fn artifact_path(dir: &Path, fingerprint: u64) -> PathBuf {
-    dir.join(format!("{fingerprint:016x}.artifact"))
+/// The on-disk path of `program`'s artifact inside `dir`.
+fn artifact_path(dir: &Path, program: &Program) -> PathBuf {
+    let key = artifact_key(program_fingerprint(program), program.name());
+    dir.join(format!("{key:016x}.artifact"))
 }
 
 /// Applies `mutate` to the raw bytes of `path` and writes them back.
@@ -192,12 +194,14 @@ fn corrupted_artifacts_fall_back_to_cold_prepare_and_quarantine() {
         let prepared = analyzer.prepare(&program);
         let expected = panel_report(&prepared);
         store.save(&prepared).expect("artifact saves");
-        let path = artifact_path(&dir, fingerprint.0);
+        let path = artifact_path(&dir, &program);
         corrupt(&path, mutation);
 
         // The direct load must refuse cleanly and quarantine the file.
         assert!(
-            store.load(&analyzer, fingerprint).is_none(),
+            store
+                .load_named(&analyzer, fingerprint, program.name())
+                .is_none(),
             "{label}: a corrupted artifact must not load"
         );
         assert!(!path.exists(), "{label}: the damaged file is quarantined");
@@ -414,8 +418,7 @@ fn artifacts_verify_flags_corruption_and_gc_sweeps_the_quarantine() {
     );
 
     // Damage the artifact: verify must fail loudly without quarantining.
-    let fingerprint = program_fingerprint(&parse(&source));
-    let path = artifact_path(&artifact_dir, fingerprint.0);
+    let path = artifact_path(&artifact_dir, &parse(&source));
     corrupt(&path, |b| {
         let last = b.len() - 1;
         b[last] ^= 0xff;

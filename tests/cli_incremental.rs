@@ -267,7 +267,7 @@ fn edit_loop_command_lines_keep_their_shape() {
     edit_victim(&bundle);
     let edited = specan_in(&scratch.0, &analyze);
     let log = stderr_of(&edited);
-    assert!(log.contains("session: summaries "), "{log}");
+    assert!(!log.contains("artifacts: loaded"), "{log}");
     assert!(log.contains("session: analysed `bundle/victim.spec`"));
     matches_fresh(&edited, &fresh_analyze);
 

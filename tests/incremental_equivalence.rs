@@ -5,10 +5,9 @@
 //! fresh `Analyzer::prepare` run — same leak verdicts, same label order,
 //! same serialized bytes once the execution-describing fields are stripped.
 //! Rename-only edits must additionally be recognised as renames
-//! (fingerprints ignore names) and re-prepared under the new names, edits
-//! to one program of a multi-program session must leave every other
-//! program's artifacts bound, and a one-block edit of an ETE workload must
-//! seed its re-preparation from the predecessor's block summaries.
+//! (fingerprints ignore names) and re-prepared under the new names, and
+//! edits to one program of a multi-program session must leave every other
+//! program's artifacts bound.
 //!
 //! Like `property_soundness`, the generator is a deterministic xorshift
 //! PRNG, so the workspace stays dependency-free and a failure reproduces
@@ -392,8 +391,7 @@ fn editing_one_program_reuses_untouched_artifacts() {
 
 /// Duplicates the last memory access of the last memory-touching block: a
 /// surgical single-block edit that leaves the region table (and therefore
-/// the donor-adoption gate) untouched.  Editing a late block keeps the
-/// forward invalidation closure small, the typical in-place patch.
+/// the address-map adoption gate) untouched, the typical in-place patch.
 fn edit_one_block(program: &Program) -> Program {
     let mut blocks = program.blocks().to_vec();
     let victim = blocks
@@ -412,10 +410,10 @@ fn edit_one_block(program: &Program) -> Program {
 }
 
 /// A one-block edit of an ETE workload, re-prepared through the session
-/// that holds its predecessor, transplants the unchanged blocks' summaries
-/// and still reports exactly what a cold preparation reports.
+/// that holds its predecessor, reports exactly what a cold preparation
+/// reports.
 #[test]
-fn one_block_ete_edits_seed_from_the_predecessor_and_match_cold() {
+fn one_block_ete_edits_re_prepare_and_match_cold() {
     const ETE_LINES: u64 = 16;
     let configs = comparison_configs(CacheConfig::fully_associative(ETE_LINES as usize, 64));
     let workloads: Vec<_> = ete_suite(ETE_LINES)
@@ -432,8 +430,11 @@ fn one_block_ete_edits_seed_from_the_predecessor_and_match_cold() {
         let CacheOutcome::NeedsPrepare(guard) = session.acquire(&edited) else {
             panic!("`{name}`: an edited program must re-prepare");
         };
-        let seeded = guard.prepare(&edited);
-        let report = seeded.run_suite(&configs).report().without_timing();
+        let report = guard
+            .prepare(&edited)
+            .run_suite(&configs)
+            .report()
+            .without_timing();
         let cold = Analyzer::new()
             .prepare(&edited)
             .run_suite(&configs)
@@ -442,12 +443,150 @@ fn one_block_ete_edits_seed_from_the_predecessor_and_match_cold() {
         assert_eq!(
             report.to_json(),
             cold.to_json(),
-            "`{name}`: the summary-seeded report diverged from the cold one"
-        );
-        let stats = seeded.cache_stats();
-        assert!(
-            stats.summary_hits > 0,
-            "`{name}`: the edit must transplant upstream summaries: {stats}"
+            "`{name}`: the re-prepared report diverged from the cold one"
         );
     }
+}
+
+/// A "ladder" of `segments` diamonds (head → {then, else} → next head)
+/// whose blocks carry a few loads drawn from `seed`.  Blocks are created in
+/// source order (entry, then per segment: then, else, head), and
+/// `edit = Some(i)` moves the first load of block `i` to an offset the
+/// generator never draws, so two builds with the same seed differ in
+/// exactly that block.
+fn ladder(seed: u64, segments: usize, edit: Option<usize>) -> Program {
+    const REGION_BYTES: u64 = 4096;
+    let mut rng = Rng::new(seed);
+    let mut b = ProgramBuilder::new("ladder");
+    let regions: Vec<RegionId> = (0..4)
+        .map(|i| b.region(format!("r{i}"), REGION_BYTES, false))
+        .collect();
+    let flag = b.region("p", 64, false);
+    let mut blocks = vec![b.entry_block("entry")];
+    for s in 0..segments {
+        blocks.push(b.block(format!("then{s}")));
+        blocks.push(b.block(format!("else{s}")));
+        blocks.push(b.block(format!("head{}", s + 1)));
+    }
+    for (i, &block) in blocks.iter().enumerate() {
+        for l in 0..2 + rng.below(3) {
+            let region = regions[rng.below(4) as usize];
+            let drawn = rng.below(REGION_BYTES / 16) * 8;
+            let offset = if l == 0 && edit == Some(i) {
+                REGION_BYTES / 2 + drawn
+            } else {
+                drawn
+            };
+            b.load(block, region, IndexExpr::Const(offset));
+        }
+        let bit = rng.below(8) as u32;
+        if i % 3 == 0 && i / 3 < segments {
+            let s = i / 3;
+            b.load(block, flag, IndexExpr::Const(0));
+            b.data_branch(
+                block,
+                vec![MemRef::at(flag, 0)],
+                BranchSemantics::InputBit { bit },
+                blocks[3 * s + 1],
+                blocks[3 * s + 2],
+            );
+        } else if i % 3 == 0 {
+            b.ret(block);
+        } else {
+            b.jump(block, blocks[3 * ((i - 1) / 3) + 3]);
+        }
+    }
+    b.finish().expect("ladder is well-formed")
+}
+
+/// Random one-block edits, re-prepared through the session that holds the
+/// original, report byte-identically to a cold `Analyzer::prepare` of the
+/// edited program.
+#[test]
+fn random_one_block_edits_re_prepare_byte_identically_to_cold() {
+    let mut rng = Rng::new(0x5eed_1003);
+    let configs = configs();
+    for trial in 0..12 {
+        let seed = rng.next_u64();
+        let segments = 2 + rng.below(3) as usize;
+        let block = rng.below(1 + 3 * segments as u64) as usize;
+        let original = ladder(seed, segments, None);
+        let edited = ladder(seed, segments, Some(block));
+        assert_eq!(
+            ProgramDiff::between(&original, &edited)
+                .changed_blocks
+                .len(),
+            1,
+            "trial {trial}: the edit touches exactly block {block}"
+        );
+
+        let session = CacheSession::new(SessionCache::new());
+        acquire(&session, &original).0.run_suite(&configs);
+        let CacheOutcome::NeedsPrepare(guard) = session.acquire(&edited) else {
+            panic!("trial {trial}: an edited program must re-prepare");
+        };
+        let report = guard
+            .prepare(&edited)
+            .run_suite(&configs)
+            .report()
+            .without_timing();
+        assert_eq!(
+            report.to_json(),
+            fresh_report(&edited).to_json(),
+            "trial {trial} (edit at block {block}): re-prepared and cold reports diverge"
+        );
+    }
+}
+
+/// A pure region rename fingerprints like its predecessor, so serving the
+/// resident session on the fingerprint alone would leak the old names into
+/// reports.  The name-exact acquire misses as a rename instead, and the
+/// re-prepared session reports the new names.
+#[test]
+fn rename_only_re_prepare_reports_the_new_names() {
+    fn tiny(region: &str) -> Program {
+        let mut b = ProgramBuilder::new("tiny");
+        let t = b.region(region, 128, false);
+        let entry = b.entry_block("entry");
+        b.load(entry, t, IndexExpr::Const(0));
+        b.load(entry, t, IndexExpr::Const(0));
+        b.ret(entry);
+        b.finish().unwrap()
+    }
+
+    let old = tiny("t");
+    let renamed = tiny("t_v2");
+    assert_ne!(old, renamed);
+    assert_eq!(program_fingerprint(&old), program_fingerprint(&renamed));
+
+    let session = CacheSession::new(SessionCache::new());
+    acquire(&session, &old).0.run_suite(&configs());
+    let CacheOutcome::NeedsPrepare(guard) = session.acquire(&renamed) else {
+        panic!("a rename must not be served the old names");
+    };
+    assert!(
+        guard.renamed(),
+        "the structure was found: the miss is a rename"
+    );
+    let rebound = guard.prepare(&renamed);
+    assert_eq!(rebound.program(), &renamed);
+    let suite = rebound.run_suite(&configs());
+    for run in &suite.runs {
+        assert_eq!(run.result.program.regions()[0].name, "t_v2");
+    }
+    assert_eq!(
+        suite.report().without_timing().to_json(),
+        fresh_report(&renamed).to_json()
+    );
+
+    // An identical re-parse is served warm: same handle, no new work.
+    match session.acquire(&renamed) {
+        CacheOutcome::L0Hit(hit) | CacheOutcome::WarmHit(hit) => {
+            assert!(Arc::ptr_eq(&hit, &rebound));
+        }
+        other => panic!("an identical program is served warm, got `{}`", other.tag()),
+    }
+    let ledger = session.stats();
+    assert_eq!((ledger.inserted, ledger.invalidated), (1, 1));
+    assert!(ledger.reconciles());
 }
